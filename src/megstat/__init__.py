@@ -24,7 +24,6 @@ from .multiplicity import (
     CalibrationResult,
     calibrate_coupling,
     deviation_scan,
-    exciton_yield,
     log_stat_weight,
     multiplicity_distribution,
 )
@@ -50,7 +49,7 @@ __all__ = [
     "DiscreteDistribution", "ExtremaReport", "KineticParams", "MomentSummary",
     "PhysicalParams", "ReducedStatParams", "moments", "poisson_distribution",
     "reduce_params", "total_variation",
-    "CalibrationResult", "calibrate_coupling", "deviation_scan", "exciton_yield",
+    "CalibrationResult", "calibrate_coupling", "deviation_scan",
     "log_stat_weight", "multiplicity_distribution",
     "birth_rate", "death_rate", "detailed_balance_gap", "fast_meg_limit_root",
     "find_extrema", "stationary_distribution", "step_ratio", "transient_evolve",

@@ -253,8 +253,9 @@ def transient_evolve(
     ``conservation_tol`` is an error, not a silent fix.
     """
     t_grid = [float(t) for t in t_grid]
-    if any(t2 <= t1 for t1, t2 in zip(t_grid, t_grid[1:])) or (t_grid and t_grid[0] < 0):
-        raise DomainError("t_grid must be non-negative and strictly increasing")
+    if not all(0 <= t < math.inf for t in t_grid) or any(
+            t2 <= t1 for t1, t2 in zip(t_grid, t_grid[1:])):
+        raise DomainError("t_grid must be finite, non-negative and strictly increasing")
     if initial.support[-1] > n_max:
         raise DomainError("initial distribution extends past n_max")
 

@@ -82,19 +82,29 @@ def _dist_payload(d: DiscreteDistribution, params: dict, seed=None) -> dict:
 
 def _emit(payload: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = ["n,probability"]
-        for n, p in zip(payload["support"], payload["probs"]):
-            lines.append(f"{n},{p!r}")
-        for key, val in sorted(payload.get("moments", {}).items()):
-            lines.append(f"# {key}={val!r}")
-        text = "\n".join(lines) + "\n"
-    if args.output:
+        _emit_json_only(payload, args)
+        return
+    lines = ["n,probability"]
+    for n, p in zip(payload["support"], payload["probs"]):
+        lines.append(f"{n},{p!r}")
+    for key, val in sorted(payload.get("moments", {}).items()):
+        lines.append(f"# {key}={val!r}")
+    _write("\n".join(lines) + "\n", args)
+
+
+def _emit_json_only(payload, args):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
+
+
+def _write(text: str, args) -> None:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
 
 
 def _run_stat(args):
@@ -122,24 +132,10 @@ def _run_calibrate(args):
         "provenance": _provenance(),
     }
     if args.format == "csv":
-        text = "key,value\n" + "".join(
-            f"{k},{payload[k]!r}\n" for k in ("g", "achieved_mean", "iterations"))
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("key,value\n" + "".join(
+            f"{k},{payload[k]!r}\n" for k in ("g", "achieved_mean", "iterations")), args)
     else:
         _emit_json_only(payload, args)
-
-
-def _emit_json_only(payload, args):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _run_stationary(args):
@@ -173,7 +169,10 @@ def _run_evolve(args):
     kp = _kinetic_params(args)
     if not args.t_grid:
         raise UsageError("evolve needs --t-grid")
-    t_grid = [float(t) for t in str(args.t_grid).split(",")]
+    try:
+        t_grid = [float(t) for t in str(args.t_grid).split(",")]
+    except ValueError:
+        raise UsageError(f"--t-grid {args.t_grid!r} is not a comma-separated list of times") from None
     initial = DiscreteDistribution.from_probs([args.n_init], [1.0])
     dists = birthdeath.transient_evolve(kp, initial, t_grid, n_max=args.n_max)
     payload = {
@@ -320,15 +319,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> None:
-    """Fill unset args from the JSON config file; flags always win."""
+def _apply_config(args, parser: argparse.ArgumentParser) -> None:
+    """Fill unset args from the JSON config file; flags always win.
+
+    Each value is parsed as its flag's command-line text would be, with the
+    flag's ``type`` and ``choices``.
+    """
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     allowed = _MODE_KEYS[args.mode]
+    modes, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in modes.choices[args.mode]._actions}
     for raw_key, value in cfg.items():
         key = raw_key.replace("-", "_")
         if key == "mode":
@@ -338,8 +346,18 @@ def _apply_config(args) -> None:
             continue
         if key not in allowed:
             raise UsageError(f"unknown config key {raw_key!r} for mode {args.mode!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+        if value is None or getattr(args, key, None) is not None:
+            continue
+        action, text = actions[key], str(value)
+        try:
+            value = action.type(text) if action.type else text
+        except ValueError:
+            raise UsageError(
+                f"config key {raw_key!r}: invalid {action.type.__name__} value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(
+                f"config key {raw_key!r}: {value!r} is not one of {sorted(action.choices)}")
+        setattr(args, key, value)
 
 
 # hard defaults, applied only after the config merge so config values win
@@ -361,7 +379,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         for key, val in _DEFAULTS.items():
             if getattr(args, key, False) is None:
                 setattr(args, key, val)

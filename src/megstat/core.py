@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 
@@ -50,10 +49,10 @@ class ReducedStatParams:
     energy_ratio: float  # photon energy / effective gap
 
     def __post_init__(self):
-        if not self.coupling > 0:
-            raise DomainError("coupling must be strictly positive")
-        if not self.energy_ratio >= 1:
-            raise DomainError("energy_ratio must be >= 1")
+        if not (self.coupling > 0 and math.isfinite(self.coupling)):
+            raise DomainError("coupling must be finite and strictly positive")
+        if not (self.energy_ratio >= 1 and math.isfinite(self.energy_ratio)):
+            raise DomainError("energy_ratio must be finite and >= 1")
 
 
 def reduce_params(p: PhysicalParams) -> ReducedStatParams:
@@ -84,10 +83,24 @@ class KineticParams:
 
     def __post_init__(self):
         for name in ("k1", "k_m1", "k2", "k_m2", "a"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be non-negative")
-        if not self.volume > 0:
-            raise DomainError("volume must be strictly positive")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise DomainError(f"{name} must be finite and non-negative")
+        if not (self.volume > 0 and math.isfinite(self.volume)):
+            raise DomainError("volume must be finite and strictly positive")
+
+
+def normalize_log_weights(logw: np.ndarray) -> np.ndarray:
+    """Probabilities proportional to exp(logw), for log-mass of any range.
+
+    The whole log normalizer is subtracted before the one ``exp``, so each
+    probability is rounded once, subnormal tail entries included; dividing
+    max-shifted weights by their sum would round those twice.
+    """
+    top = np.max(logw)
+    probs = np.exp(logw - (top + np.log(np.sum(np.exp(logw - top)))))
+    probs /= probs.sum()
+    return probs
 
 
 @dataclass(frozen=True)
@@ -116,18 +129,18 @@ class DiscreteDistribution:
             raise DomainError("empty support")
         if np.any(support < 0) or np.any(np.diff(support) <= 0):
             raise DomainError("support must be strictly increasing non-negative integers")
-        if np.any(probs < 0):
-            raise DomainError("negative probability")
-        if abs(probs.sum() - 1.0) > _NORM_TOL:
-            raise DomainError(f"probabilities sum to {probs.sum()!r}, not 1")
+        # written so that NaN fails each test
+        if not (probs >= 0).all():
+            raise DomainError("negative or NaN probability")
+        total = probs.sum()
+        if not abs(total - 1.0) <= _NORM_TOL:
+            raise DomainError(f"probabilities sum to {total!r}, not 1")
 
     @classmethod
     def from_log_weights(cls, support, log_weights, **kw) -> "DiscreteDistribution":
         """Normalize unnormalized log-mass via log-sum-exp."""
         logw = np.asarray(log_weights, dtype=float)
-        probs = np.exp(logw - logsumexp(logw))
-        probs /= probs.sum()
-        return cls(np.asarray(support), probs, logw, **kw)
+        return cls(np.asarray(support), normalize_log_weights(logw), logw, **kw)
 
     @classmethod
     def from_probs(cls, support, probs, **kw) -> "DiscreteDistribution":
@@ -200,8 +213,8 @@ def total_variation(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
 
 def poisson_distribution(lam: float, tail_tol: float = 1e-15) -> DiscreteDistribution:
     """Poisson(lam) truncated where the remaining tail mass drops below tail_tol."""
-    if lam < 0:
-        raise DomainError("lam must be non-negative")
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise DomainError("lam must be finite and non-negative")
     if lam == 0:
         return DiscreteDistribution.from_probs([0], [1.0])
     # crude but safe upper cutoff, then trim by the exact tail sum

@@ -50,8 +50,10 @@ def simulate_trajectory(
     """Direct-method trajectory, deterministic given the seed."""
     if n_init < 0:
         raise DomainError("n_init must be non-negative")
-    if max_events is None and max_time is None:
-        raise DomainError("need a stop condition: max_events or max_time")
+    if max_time is not None and not max_time >= 0:
+        raise DomainError("max_time must be non-negative")
+    if max_events is None and (max_time is None or max_time == math.inf):
+        raise DomainError("need a stop condition: max_events or a finite max_time")
     cap_events = math.inf if max_events is None else int(max_events)
     cap_time = math.inf if max_time is None else float(max_time)
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -22,6 +23,7 @@ from megstat import (
 from megstat.birthdeath import stationary_weights_exact
 from megstat.errors import (
     DegenerateDenominator,
+    DomainError,
     NonNormalizable,
     NotApplicable,
     TruncationBreach,
@@ -111,6 +113,20 @@ class TestStationaryDistribution:
                 ref = float(mp.mpf(exact[n].numerator) / exact[n].denominator / total)
                 if ref > 1e-280:
                     assert d.probs[n] == pytest.approx(ref, rel=1e-9)
+
+    def test_negative_binomial_to_the_last_subnormal_bit(self):
+        # k_m1 = 0 gives NegBin(r = k_m2*A*V/(k1*A), rho = k1*A/k2); the left
+        # tail of this law is subnormal (p(253) ~ 2e-320), where a law rounded
+        # twice on normalization misses the closed form at rtol 1e-9, atol 0
+        k1a, k2, km2av, v = (0.15165623946406423, 1.3458537590355417,
+                             1785.1092792296733, 86.60174446832924)
+        d = stationary_distribution(KineticParams(k1=k1a, k_m1=0, k2=k2, k_m2=km2av / v,
+                                                  a=1, volume=v))
+        r, rho = km2av / k1a, k1a / k2
+        ref = np.exp([math.lgamma(n + r) - math.lgamma(r) - math.lgamma(n + 1)
+                      + r * math.log1p(-rho) + n * math.log(rho) for n in d.support])
+        assert d.probs[253] < 1e-300
+        np.testing.assert_allclose(d.probs, ref, rtol=1e-9, atol=0)
 
     def test_truncation_soundness(self):
         loose = stationary_distribution(BIMODAL, tail_tol=1e-4)
@@ -237,6 +253,12 @@ class TestTransientEvolve:
         init = DiscreteDistribution.from_probs([0], [1.0])
         for d in transient_evolve(kp, init, [1.0, 10.0], n_max=10):
             assert d.prob(0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t_grid", [[math.nan], [1.0, math.inf], [-1.0, 1.0], [2.0, 1.0]])
+    def test_rejects_bad_time_grid(self, t_grid):
+        initial = DiscreteDistribution.from_probs([0], [1.0])
+        with pytest.raises(DomainError):
+            transient_evolve(IMMIGRATION_DEATH, initial, t_grid, n_max=40)
 
     def test_truncation_breach(self):
         init = DiscreteDistribution.from_probs([0], [1.0])

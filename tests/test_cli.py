@@ -1,8 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from megstat.cli import main
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_process(args):
+    """Run the CLI (or ``-c`` code when args starts with it) in a fresh interpreter."""
+    cmd = [sys.executable, *(args if args[0] == "-c" else ["-m", "megstat.cli", *args])]
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                          env={**os.environ,
+                               "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])})
 
 
 def run(argv, capsys):
@@ -26,6 +41,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestUsageErrorsExitTwo:
+    def test_config_value_of_wrong_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": "abc", "g": 1.0}))
+        proc = run_process(["stat", "--config", str(cfg)])
+        assert proc.returncode == 2
+        assert "ERROR USAGE" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_output_in_missing_directory(self, tmp_path):
+        out = tmp_path / "missing" / "law.json"
+        proc = run_process(["stat", "--epsilon", "3.63", "--g", "1", "--output", str(out)])
+        assert proc.returncode == 2
+        assert "ERROR USAGE" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = run_process(["-c", "import sys, megstat.cli; print('scipy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestStat:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from megstat import (
     DiscreteDistribution,
+    KineticParams,
     PhysicalParams,
     ReducedStatParams,
     moments,
@@ -56,6 +57,38 @@ class TestReduceParams:
         kw.update(bad)
         with pytest.raises(DomainError):
             PhysicalParams(**kw)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("kw", [
+        dict(coupling=math.inf, energy_ratio=3.63),
+        dict(coupling=math.nan, energy_ratio=3.63),
+        dict(coupling=1.0, energy_ratio=math.inf),
+        dict(coupling=1.0, energy_ratio=math.nan),
+    ])
+    def test_reduced_stat_params(self, kw):
+        with pytest.raises(DomainError):
+            ReducedStatParams(**kw)
+
+    @pytest.mark.parametrize("name", ["k1", "k_m1", "k2", "k_m2", "a", "volume"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_kinetic_params(self, name, value):
+        kw = dict(k1=1.0, k_m1=0.5, k2=1.0, k_m2=2.0, a=1.0, volume=1.0)
+        kw[name] = value
+        with pytest.raises(DomainError):
+            KineticParams(**kw)
+
+    @pytest.mark.parametrize("probs", [
+        [math.nan, math.nan], [math.nan, 1.0], [0.5, math.inf],
+    ])
+    def test_discrete_distribution(self, probs):
+        with pytest.raises(DomainError):
+            DiscreteDistribution.from_probs([0, 1], probs)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_poisson_distribution(self, lam):
+        with pytest.raises(DomainError):
+            poisson_distribution(lam)
 
 
 class TestDiscreteDistribution:

@@ -8,11 +8,11 @@ from megstat import (
     ReducedStatParams,
     calibrate_coupling,
     deviation_scan,
-    exciton_yield,
     log_stat_weight,
     moments,
     multiplicity_distribution,
 )
+from megstat import multiplicity
 from megstat.errors import DegenerateChannel, DomainError, NoChannel, Unreachable
 
 # frozen oracle values, computed by 50-digit brute-force summation of the
@@ -100,15 +100,31 @@ class TestMultiplicityDistribution:
         for n, p in oracle.items():
             assert d.prob(n) == pytest.approx(p, rel=1e-9)
 
+    def test_independent_of_the_lgamma_table_history(self, monkeypatch):
+        params = ReducedStatParams(40.0, 12.0)
+        monkeypatch.setattr(multiplicity, "_LGAMMA", np.array([math.inf]))
+        first = multiplicity_distribution(params).probs.tobytes()
+        multiplicity_distribution(ReducedStatParams(40.0, 1350.0))   # grows the table
+        assert multiplicity_distribution(params).probs.tobytes() == first
+
+    def test_long_channel_list_equals_direct_high_precision(self):
+        # 199 channels: ln Gamma(3n/2) up to k = 597, every normal entry at rel 1e-9
+        d = multiplicity_distribution(ReducedStatParams(25.0, 200.0))
+        oracle = _direct_oracle(25.0, 200.0)
+        assert d.support.tolist() == sorted(oracle)
+        for n, p in oracle.items():
+            if p > 1e-300:
+                assert d.prob(n) == pytest.approx(p, rel=1e-9, abs=0)
+
 
 class TestExcitonYield:
     def test_point_mass(self):
         d = multiplicity_distribution(ReducedStatParams(1.0, 1.5))
-        assert exciton_yield(d) == 1.0
+        assert moments(d).exciton_yield == 1.0
 
     def test_calibrated_case(self):
         d = multiplicity_distribution(ReducedStatParams(G_CALIBRATED, 3.63))
-        assert exciton_yield(d) == pytest.approx(2.1, abs=1e-6)
+        assert moments(d).exciton_yield == pytest.approx(2.1, abs=1e-6)
 
 
 class TestCalibration:
@@ -136,6 +152,28 @@ class TestCalibration:
         res = calibrate_coupling(4.9, target)
         d = multiplicity_distribution(ReducedStatParams(res.coupling, 4.9))
         assert d.mean() == pytest.approx(target, abs=1e-6)
+
+    @pytest.mark.parametrize("eps", [3.63, 10.0, 100.0, 1000.0, 1350.0])
+    @pytest.mark.parametrize("fraction", [0.05, 0.5, 0.95])
+    def test_newton_round_trip_across_range(self, eps, fraction):
+        n_max = 2 * math.ceil(eps) - 2
+        target = 2.0 + fraction * (n_max - 2.0)
+        res = calibrate_coupling(eps, target)
+        assert abs(res.achieved_mean - target) <= 1e-6
+        assert res.achieved_mean == \
+            multiplicity_distribution(ReducedStatParams(res.coupling, eps)).mean()
+        assert res.bracket[0] <= res.coupling <= res.bracket[1]
+        assert res.iterations <= 20
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_energy_ratio(self, eps):
+        with pytest.raises(DomainError):
+            calibrate_coupling(eps, 3.0)
+
+    def test_coupling_beyond_float_range_is_unreachable(self):
+        # even g = float max gives a mean below 1996.004 (top channel 1998)
+        with pytest.raises(Unreachable):
+            calibrate_coupling(1000.0, 1996.004)
 
 
 class TestDeviationScan:

@@ -53,6 +53,12 @@ class TestSimulateTrajectory:
         with pytest.raises(DomainError):
             simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=0)
 
+    @pytest.mark.parametrize("max_time", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_max_time_that_never_stops(self, max_time):
+        # alone, a NaN or infinite max_time would never end the event loop
+        with pytest.raises(DomainError):
+            simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=0, max_time=max_time)
+
 
 class TestOccupancy:
     def test_two_state_chain_ratio(self):
