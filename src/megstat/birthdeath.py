@@ -56,15 +56,6 @@ def _check_normalizable(kp: KineticParams) -> None:
             "step ratio does not decay: k_m1 = 0 and k1*A >= k2")
 
 
-def stationary_log_weights(kp: KineticParams, n_max: int) -> np.ndarray:
-    """Unnormalized log stationary weights on 0..n_max (log P(N) - log P(0))."""
-    logw = np.zeros(n_max + 1)
-    for n in range(n_max):
-        r = step_ratio(n, kp)
-        logw[n + 1] = logw[n] + (math.log(r) if r > 0 else -math.inf)
-    return logw
-
-
 def stationary_weights_exact(kp: KineticParams, n_max: int) -> list:
     """Stationary weights on 0..n_max as exact rationals (rational inputs only)."""
     k1a = Fraction(kp.k1) * Fraction(kp.a)
@@ -82,44 +73,75 @@ def stationary_weights_exact(kp: KineticParams, n_max: int) -> list:
     return w
 
 
+def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
+    """Log weights of the stationary law on lo..N and the ratios r(n) = b(n)/d(n+1), lo <= n < N.
+
+    Returns ``(lo, logw, ratios)`` with logw[0] = 0.  The chain lives on n >= 1
+    (lo = 1) when d(1) = k2 = 0 < b(0): state 0 is then left at once and never
+    re-entered.  The empty chain (b(0) = 0) is frozen at state 0.
+
+    The product runs in doubling chunks of array arithmetic.  N is the first
+    state past lo where r(N-1) < 1, the ratio is on its decreasing branch
+    (k_m1 > 0: r(N) <= r(N-1), as the ratio is unimodal in n; k_m1 = 0: it
+    tends monotonically to k1*A/k2), and the geometric bound
+    P(N) * rho/(1-rho) < tail_tol, with rho an upper bound on every later
+    ratio, certifies the dropped mass.
+    """
+    if not 0 < tail_tol <= 1e-3:
+        raise DomainError("tail_tol must lie in (0, 1e-3]")
+    k1a, b0 = kp.k1 * kp.a, kp.k_m2 * kp.a * kp.volume
+    if b0 == 0:
+        return 0, np.zeros(1), np.zeros(0)
+    _check_normalizable(kp)
+
+    limit_ratio = k1a / kp.k2 if kp.k_m1 == 0 else 0.0
+    log_tol = math.log(tail_tol)
+    lo = 1 if kp.k2 == 0 else 0
+    logws, ratios = [np.zeros(1)], []
+    last = log_total = 0.0
+    start, size = lo, 256
+    while True:
+        # r(start..start+size): the weights of states start+1..start+size,
+        # plus the ratio one past the last of them for the decreasing test
+        n = np.arange(start, start + size + 1, dtype=float)
+        r = (k1a * n + b0) / (kp.k_m1 * (n + 1) * n / kp.volume + kp.k2 * (n + 1))
+        r_prev, r_next = r[:-1], r[1:]
+        log_r = np.log(r_prev)
+        log_r[0] += last
+        logw = np.cumsum(log_r)
+        totals = np.logaddexp.accumulate(np.concatenate(([log_total], logw)))[1:]
+        rho = np.maximum(r_prev, limit_ratio)   # rho < 1 implies r(N-1) < 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = (rho < 1.0) & (logw + np.log(rho / (1.0 - rho)) < log_tol + totals)
+        if kp.k_m1 > 0:
+            ok &= r_next <= r_prev
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            k = hit[0] + 1
+            logws.append(logw[:k])
+            ratios.append(r_prev[:k])
+            return lo, np.concatenate(logws), np.concatenate(ratios)
+        logws.append(logw)
+        ratios.append(r_prev)
+        last, log_total = logw[-1], totals[-1]
+        start += size
+        if start > _MAX_SUPPORT:
+            raise NonNormalizable(
+                f"support exceeded {_MAX_SUPPORT} states without meeting the tail bound")
+        size = min(2 * size, _MAX_SUPPORT + 1 - start)
+
+
 def stationary_distribution(kp: KineticParams, tail_tol: float = 1e-12) -> DiscreteDistribution:
     """Exact stationary law, truncated by a rigorous geometric tail bound.
 
     Support extends past the last local maximum until the step ratio is
     below 1 and decreasing, and the bound  P(N) * rho/(1-rho) < tail_tol
     (rho an upper bound on all later ratios) certifies the dropped mass.
+    With k2 = 0 the support starts at 1, because state 0 is transient.
     """
-    if not 0 < tail_tol <= 1e-3:
-        raise DomainError("tail_tol must lie in (0, 1e-3]")
-    if birth_rate(0, kp) == 0:
-        # empty chain: state 0 is absorbing from the start
-        return DiscreteDistribution.from_probs([0], [1.0], degenerate=True)
-    _check_normalizable(kp)
-
-    limit_ratio = kp.k1 * kp.a / kp.k2 if kp.k_m1 == 0 else 0.0
-    logw = [0.0]
-    log_total = 0.0
-    last_max = 0
-    n = 0
-    while True:
-        r = step_ratio(n, kp)
-        logw.append(logw[-1] + math.log(r))
-        log_total = np.logaddexp(log_total, logw[-1])
-        n += 1
-        r_next = step_ratio(n, kp)
-        if r >= 1.0 and r_next < 1.0:
-            last_max = n
-        if n > last_max and r < 1.0 and (kp.k_m1 == 0 or r_next <= r):
-            # rho bounds every later ratio: for k_m1 > 0 the ratio is unimodal
-            # in n, so r_next <= r certifies the decreasing branch; for
-            # k_m1 = 0 it tends monotonically to k1*A/k2.
-            rho = max(r, limit_ratio) if kp.k_m1 == 0 else r
-            if rho < 1.0 and logw[-1] + math.log(rho / (1.0 - rho)) < math.log(tail_tol) + log_total:
-                break
-        if n > _MAX_SUPPORT:
-            raise NonNormalizable(
-                f"support exceeded {_MAX_SUPPORT} states without meeting the tail bound")
-    return DiscreteDistribution.from_log_weights(np.arange(n + 1), np.array(logw))
+    lo, logw, _ = _stationary_scan(kp, tail_tol)
+    return DiscreteDistribution.from_log_weights(
+        np.arange(lo, lo + len(logw)), logw, degenerate=birth_rate(0, kp) == 0)
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> tuple:
@@ -169,33 +191,29 @@ def alt_closed_form_roots(kp: KineticParams) -> tuple:
 
 
 def find_extrema(kp: KineticParams, tail_tol: float = 1e-12) -> ExtremaReport:
-    """Locate integer extrema of the stationary law by scanning the step ratio.
+    """Locate integer extrema of the stationary law from its step ratios.
 
     N is a maximum iff P(N) >= both neighbours, i.e. ratio(N-1) >= 1 and
-    ratio(N) <= 1 (boundary N=0 needs only the right test).  Exact ties
-    (ratio = 1) report both tied states as maxima.
+    ratio(N) <= 1 (the first state of the support needs only the right
+    test).  Exact ties (ratio = 1) report both tied states as maxima.  A
+    state that is not a maximum is a minimum iff ratio(N-1) <= 1 and
+    ratio(N) >= 1.
     """
     roots = continuous_extremum_roots(kp)
     alt = alt_closed_form_roots(kp)
     disagree = len(alt) != len(roots) or any(
         abs(x - y) > 1e-9 * max(1.0, abs(x), abs(y)) for x, y in zip(roots, alt))
 
-    d = stationary_distribution(kp, tail_tol=tail_tol)
-    if d.degenerate:
-        return ExtremaReport(
-            continuous_roots=roots, integer_maxima=(0,), integer_minima=(),
-            is_bimodal=False, normalizable=True,
-            alt_closed_form_roots=alt, discrepancy_flag=disagree)
-    top = int(d.support[-1])
-    ratios = [step_ratio(n, kp) for n in range(top)]
-    maxima, minima = [], []
-    for n in range(top):
-        left_up = (n == 0) or ratios[n - 1] >= 1.0
-        left_down = (n == 0) or ratios[n - 1] <= 1.0
-        if left_up and ratios[n] <= 1.0:
-            maxima.append(n)
-        elif n > 0 and left_down and ratios[n] >= 1.0:
-            minima.append(n)
+    lo, _, ratios = _stationary_scan(kp, tail_tol)
+    # the top state N closes the scan with a ratio below 1: the tail
+    # certificate puts r(N) below 1, and the frozen empty chain has r(0) = 0
+    r = np.append(ratios, 0.0)
+    # the first state has no left neighbour: it can be a maximum, never a minimum
+    r_left = np.concatenate(([math.inf], r[:-1]))
+    is_max = (r_left >= 1.0) & (r <= 1.0)
+    is_min = ~is_max & (r_left <= 1.0) & (r >= 1.0)
+    maxima = [lo + int(i) for i in np.flatnonzero(is_max)]
+    minima = [lo + int(i) for i in np.flatnonzero(is_min)]
 
     # adjacent tied maxima form one plateau; bimodality needs two plateaus
     plateaus = 1 + sum(1 for a, b in zip(maxima, maxima[1:]) if b - a > 1)
@@ -204,10 +222,8 @@ def find_extrema(kp: KineticParams, tail_tol: float = 1e-12) -> ExtremaReport:
         integer_maxima=tuple(maxima),
         integer_minima=tuple(minima),
         is_bimodal=len(maxima) >= 2 and plateaus >= 2,
-        normalizable=True,
         alt_closed_form_roots=alt,
         discrepancy_flag=disagree,
-        ratio_at_maxima=tuple(ratios[n] for n in maxima),
     )
 
 

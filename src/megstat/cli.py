@@ -10,6 +10,7 @@ error (``ERROR <CODE>: message`` on stderr), 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -156,7 +157,6 @@ def _run_extrema(args):
         "integer_maxima": list(rep.integer_maxima),
         "integer_minima": list(rep.integer_minima),
         "is_bimodal": rep.is_bimodal,
-        "normalizable": rep.normalizable,
         "alt_closed_form_roots": list(rep.alt_closed_form_roots),
         "discrepancy_flag": rep.discrepancy_flag,
         "params": _kin_dict(args),
@@ -259,7 +259,13 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every call of :func:`main`.
+
+    Each ``parse_args`` returns a fresh namespace, and the config merge only
+    reads the parser, so no state carries from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="megstat",
         description="Exciton-multiplicity statistics: statistical-theory law, "

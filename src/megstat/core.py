@@ -9,7 +9,7 @@ statistical weights span hundreds of orders of magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class DiscreteDistribution:
     @classmethod
     def from_probs(cls, support, probs, **kw) -> "DiscreteDistribution":
         probs = np.asarray(probs, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             logw = np.log(probs)
         return cls(np.asarray(support), probs, logw, **kw)
 
@@ -178,10 +178,8 @@ class ExtremaReport:
     integer_maxima: tuple = ()
     integer_minima: tuple = ()
     is_bimodal: bool = False
-    normalizable: bool = True
     alt_closed_form_roots: tuple = ()   # roots per the alternative published quadratic
     discrepancy_flag: bool = False      # set when the two root sets disagree
-    ratio_at_maxima: tuple = field(default=(), compare=False)
 
 
 def moments(d: DiscreteDistribution) -> MomentSummary:

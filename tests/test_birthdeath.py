@@ -34,6 +34,50 @@ from megstat.errors import (
 BIMODAL = KineticParams(k1=5, k_m1=0.3, k2=2, k_m2=0.1, a=1, volume=1)
 IMMIGRATION_DEATH = KineticParams(k1=0, k_m1=0, k2=1, k_m2=3, a=1, volume=1)
 DETAILED_BALANCE = KineticParams(k1=1, k_m1=0.5, k2=1, k_m2=2, a=1, volume=1)
+FAST_LIMIT = KineticParams(k1=0.5, k_m1=0, k2=1, k_m2=2, a=1, volume=1)
+# detailed balance at xbar = 2, V = 1000: Poisson(2000), cut in the scan's third chunk
+POISSON_2000 = KineticParams(k1=1, k_m1=0.5, k2=1, k_m2=2, a=1, volume=1000)
+
+
+def certified_cut(kp, tail_tol=1e-12):
+    """Last state of the stationary law by the tail certificate, one state at a time."""
+    limit_ratio = kp.k1 * kp.a / kp.k2 if kp.k_m1 == 0 else 0.0
+    logw = log_total = 0.0
+    n = 0
+    while True:
+        r, r_next = step_ratio(n, kp), step_ratio(n + 1, kp)
+        logw += math.log(r)
+        log_total = float(np.logaddexp(log_total, logw))
+        n += 1
+        if r < 1.0 and (kp.k_m1 == 0 or r_next <= r):
+            rho = max(r, limit_ratio)
+            if rho < 1.0 and logw + math.log(rho / (1.0 - rho)) < math.log(tail_tol) + log_total:
+                return n
+
+
+def extrema_from_weights(w):
+    """Maxima and minima of exact weights w[0..N+1] over the states 0..N."""
+    maxima, minima = [], []
+    for n in range(len(w) - 1):
+        if (n == 0 or w[n] >= w[n - 1]) and w[n] >= w[n + 1]:
+            maxima.append(n)
+        elif n > 0 and w[n] <= w[n - 1] and w[n] <= w[n + 1]:
+            minima.append(n)
+    return tuple(maxima), tuple(minima)
+
+
+def random_dyadic_chains(count, seed):
+    """Normalizable chains with dyadic rates, so that each float rate is exact."""
+    rng = np.random.default_rng(seed)
+    chains = []
+    while len(chains) < count:
+        k1, k_m1, k_m2 = rng.integers(0, 25, size=3) / 4
+        k2 = rng.integers(1, 9) / 4
+        if k_m1 == 0 and k1 >= k2:
+            continue
+        chains.append(KineticParams(k1=k1, k_m1=k_m1, k2=k2, k_m2=k_m2 / 8,
+                                    a=1, volume=float(rng.choice([1, 2, 4]))))
+    return chains
 
 
 class TestRates:
@@ -128,6 +172,40 @@ class TestStationaryDistribution:
         assert d.probs[253] < 1e-300
         np.testing.assert_allclose(d.probs, ref, rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("kp", [
+        DETAILED_BALANCE,
+        POISSON_2000,
+        # r(0) ~ 5e-14 meets the bound at N = 1, but on the rising branch of the ratio
+        KineticParams(k1=5, k_m1=0.3, k2=2, k_m2=1e-13, a=1, volume=1),
+    ])
+    def test_cut_matches_the_state_by_state_certificate(self, kp):
+        d = stationary_distribution(kp)
+        assert d.support.tolist() == list(range(certified_cut(kp) + 1))
+
+    def test_cut_past_the_first_chunk(self):
+        d = stationary_distribution(POISSON_2000)
+        assert d.support[-1] > 256
+        assert total_variation(d, poisson_distribution(2000.0)) < 1e-10
+
+    def test_no_spontaneous_annihilation_lives_above_zero(self):
+        # k2 = 0 < b(0): d(1) = 0, so state 0 is left at once and never
+        # re-entered; here r(n) = 1/n for n >= 1 and P(n) = 1/(e (n-1)!)
+        kp = KineticParams(k1=1, k_m1=1, k2=0, k_m2=1, a=1, volume=1)
+        d = stationary_distribution(kp)
+        assert d.support[0] == 1 and not d.degenerate
+        w = [Fraction(1)]
+        for n in range(1, int(d.support[-1])):
+            w.append(w[-1] * Fraction(birth_rate(n, kp)) / Fraction(death_rate(n + 1, kp)))
+        with mp.workdps(60):
+            total = sum(mp.mpf(x.numerator) / x.denominator for x in w)
+            ref = [float(mp.mpf(x.numerator) / x.denominator / total) for x in w]
+        np.testing.assert_allclose(d.probs, ref, rtol=1e-12, atol=0)
+        assert d.probs[0] == pytest.approx(math.exp(-1), rel=1e-12)
+        rep = find_extrema(kp)
+        assert rep.integer_maxima == (1, 2)
+        assert rep.integer_minima == ()
+        assert not rep.is_bimodal
+
     def test_truncation_soundness(self):
         loose = stationary_distribution(BIMODAL, tail_tol=1e-4)
         tight = stationary_distribution(BIMODAL, tail_tol=1e-12)
@@ -142,7 +220,6 @@ class TestFindExtrema:
         assert rep.integer_maxima == (0, 9)
         assert rep.integer_minima == (1,)
         assert rep.is_bimodal
-        assert rep.normalizable
         assert rep.continuous_roots == pytest.approx((0.770, 8.231), abs=1e-3)
         # the alternative published closed form disagrees here
         assert rep.discrepancy_flag
@@ -166,6 +243,13 @@ class TestFindExtrema:
             assert d.prob(n) >= d.prob(n - 1) - 1e-15 if n > 0 else True
             assert d.prob(n) >= d.prob(n + 1) - 1e-15
 
+    @pytest.mark.parametrize("kp", [FAST_LIMIT, BIMODAL, *random_dyadic_chains(40, seed=3)])
+    def test_matches_extrema_of_exact_weights(self, kp):
+        top = int(stationary_distribution(kp).support[-1])
+        rep = find_extrema(kp)
+        assert (rep.integer_maxima, rep.integer_minima) == \
+            extrema_from_weights(stationary_weights_exact(kp, top + 1))
+
     def test_continuous_roots_bracket_integer_crossings(self):
         rep = find_extrema(BIMODAL)
         r_lo, r_hi = rep.continuous_roots
@@ -182,7 +266,7 @@ class TestFindExtrema:
 
 class TestFastMegLimit:
     def test_reference_case(self):
-        kp = KineticParams(k1=0.5, k_m1=0, k2=1, k_m2=2, a=1, volume=1)
+        kp = FAST_LIMIT
         n0 = fast_meg_limit_root(kp)
         assert n0 == 2.0
         # exact rational check: the stationary ratio is exactly 1 at n0

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from megstat.cli import main
+from megstat.cli import build_parser, main
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -155,6 +155,24 @@ class TestReproduce:
         assert data["passed"] is True
         assert all(data["checks"].values())
         assert data["checks"]["sub_poissonian"]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k1A": 5, "km1": 0.3, "k2": 2, "km2AV": 0.1, "V": 1}))
+    first = ["extrema", "--config", str(cfg), "--output", str(tmp_path / "first.json")]
+    assert main(first) == 0
+    law = tmp_path / "law.csv"
+    assert main(["stationary", "--k1A", "0", "--km1", "0", "--k2", "1", "--km2AV", "3",
+                 "--V", "1", "--format", "csv", "--output", str(law)]) == 0
+    assert law.read_text().startswith("n,probability\n0,")
+    with pytest.raises(SystemExit) as exc:
+        main(["extrema", "--bogus", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main([*first[:-1], str(tmp_path / "again.json")]) == 0
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+    assert build_parser() is build_parser()
 
 
 class TestGoldenStability:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ class TestNonFiniteInputs:
     def test_discrete_distribution(self, probs):
         with pytest.raises(DomainError):
             DiscreteDistribution.from_probs([0, 1], probs)
+
+    @pytest.mark.parametrize("probs", [[-1.0, 1.0], [-math.inf, 1.0]])
+    def test_negative_probability_raises_without_a_warning(self, probs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                DiscreteDistribution.from_probs([0, 1], probs)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_poisson_distribution(self, lam):
