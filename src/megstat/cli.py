@@ -63,47 +63,64 @@ def _provenance(seed=None):
     return prov
 
 
-def _dist_payload(d: DiscreteDistribution, params: dict, seed=None) -> dict:
+def _moment_dict(d: DiscreteDistribution) -> dict:
     m = moments(d)
+    return {
+        "mean": m.mean,
+        "second_moment": m.second_moment,
+        "variance": m.variance,
+        "fano_factor": None if np.isnan(m.fano_factor) else m.fano_factor,
+        "poisson_deviation": m.poisson_deviation,
+        "exciton_yield": m.exciton_yield,
+    }
+
+
+def _dist_payload(d: DiscreteDistribution, params: dict, seed=None) -> dict:
     return {
         "support": [int(n) for n in d.support],
         "probs": [float(p) for p in d.probs],
-        "moments": {
-            "mean": m.mean,
-            "second_moment": m.second_moment,
-            "variance": m.variance,
-            "fano_factor": None if np.isnan(m.fano_factor) else m.fano_factor,
-            "poisson_deviation": m.poisson_deviation,
-            "exciton_yield": m.exciton_yield,
-        },
+        "moments": _moment_dict(d),
         "params": params,
         "provenance": _provenance(seed),
     }
 
 
-def _emit(payload: dict, args) -> None:
+# CSV rows are formatted this many at a time, so that a long law is never
+# held as Python objects for every state at once
+_CSV_ROWS = 512
+
+
+def _emit(d: DiscreteDistribution, params: dict, args, seed=None) -> None:
+    """Write a law as one JSON object, or as ``n,probability`` rows plus moment footers."""
     if args.format == "json":
-        _emit_json_only(payload, args)
+        _emit_json_only(_dist_payload(d, params, seed), args)
         return
-    lines = ["n,probability"]
-    for n, p in zip(payload["support"], payload["probs"]):
-        lines.append(f"{n},{p!r}")
-    for key, val in sorted(payload.get("moments", {}).items()):
-        lines.append(f"# {key}={val!r}")
-    _write("\n".join(lines) + "\n", args)
+    footers = "".join(f"# {key}={val!r}\n" for key, val in sorted(_moment_dict(d).items()))
+
+    def pieces():
+        yield "n,probability\n"
+        for lo in range(0, len(d.probs), _CSV_ROWS):
+            ns = d.support[lo:lo + _CSV_ROWS].tolist()
+            ps = d.probs[lo:lo + _CSV_ROWS].tolist()
+            yield "".join(f"{n},{p!r}\n" for n, p in zip(ns, ps))
+        yield footers
+
+    _write(pieces(), args)
 
 
 def _emit_json_only(payload, args):
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
 
 
-def _write(text: str, args) -> None:
+def _write(text, args) -> None:
+    """Write ``text``, one string or an iterable of strings, to --output or stdout."""
+    pieces = (text,) if isinstance(text, str) else text
     if not args.output:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise UsageError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
 
@@ -115,7 +132,7 @@ def _run_stat(args):
         raise UsageError("epsilon must exceed 1")
     params = ReducedStatParams(coupling=args.g, energy_ratio=args.epsilon)
     d = multiplicity.multiplicity_distribution(params)
-    _emit(_dist_payload(d, {"epsilon": args.epsilon, "g": args.g}), args)
+    _emit(d, {"epsilon": args.epsilon, "g": args.g}, args)
 
 
 def _run_calibrate(args):
@@ -142,7 +159,7 @@ def _run_calibrate(args):
 def _run_stationary(args):
     kp = _kinetic_params(args)
     d = birthdeath.stationary_distribution(kp, tail_tol=args.tail_tol)
-    _emit(_dist_payload(d, _kin_dict(args)), args)
+    _emit(d, _kin_dict(args), args)
 
 
 def _kin_dict(args):
@@ -193,7 +210,7 @@ def _run_ssa(args):
     kp = _kinetic_params(args)
     d = ssa.stationary_histogram(kp, seed=args.seed, n_events=args.events,
                                  burn_in_fraction=args.burn_in)
-    _emit(_dist_payload(d, _kin_dict(args), seed=args.seed), args)
+    _emit(d, _kin_dict(args), args, seed=args.seed)
 
 
 # pinned reproduction cases: photon-to-gap ratios with target mean and the

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from megstat.cli import build_parser, main
+from megstat.cli import _CSV_ROWS, build_parser, main
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -105,6 +105,21 @@ class TestStationary:
         rows = [l for l in out_file.read_text().splitlines()[1:]
                 if not l.startswith("#")]
         assert sum(float(r.split(",")[1]) for r in rows) == pytest.approx(1.0, abs=1e-9)
+
+    def test_long_law_csv_is_one_row_per_state(self, tmp_path, capsys):
+        # Poisson(1500) spans several of the writer's row chunks
+        flags = ["--k1A", "1500", "--km1", "1", "--k2", "1", "--km2AV", "1500", "--V", "1"]
+        out_file = tmp_path / "d.csv"
+        assert main(["stationary", *flags, "--format", "csv", "--output", str(out_file)]) == 0
+        rc, out, _ = run(["stationary", *flags, "--format", "csv"], capsys)
+        assert rc == 0
+        assert out == out_file.read_text()
+        rc, out, _ = run(["stationary", *flags, "--format", "json"], capsys)
+        data = json.loads(out)
+        assert len(data["support"]) > 2 * _CSV_ROWS
+        rows = [f"{n},{p!r}" for n, p in zip(data["support"], data["probs"])]
+        footers = [f"# {k}={v!r}" for k, v in sorted(data["moments"].items())]
+        assert out_file.read_text() == "\n".join(["n,probability", *rows, *footers]) + "\n"
 
     def test_missing_parameter(self, capsys):
         rc, _, err = run(["stationary", "--k1A", "1"], capsys)
