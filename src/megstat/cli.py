@@ -332,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     kinetic(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--events", type=int)
-    p.add_argument("--burn-in", type=float, dest="burn_in")
+    p.add_argument("--burn-in", type=float, dest="burn_in",
+                   help="share of the events discarded before counting, in [0, 0.5] "
+                        "(default 0.1)")
     common(p)
 
     p = sub.add_parser("reproduce", help="pinned reference-case reproduction")

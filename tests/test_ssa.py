@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from megstat import ssa
 from megstat import (
     KineticParams,
     Trajectory,
@@ -12,7 +14,7 @@ from megstat import (
     stationary_histogram,
     total_variation,
 )
-from megstat.errors import DomainError, FrozenChain
+from megstat.errors import DomainError, FrozenChain, MegstatError
 
 IMMIGRATION_DEATH = KineticParams(k1=0, k_m1=0, k2=1, k_m2=3, a=1, volume=1)
 BIMODAL = KineticParams(k1=5, k_m1=0.3, k2=2, k_m2=0.1, a=1, volume=1)
@@ -52,6 +54,21 @@ class TestSimulateTrajectory:
     def test_needs_a_stop_condition(self):
         with pytest.raises(DomainError):
             simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=0)
+
+    def test_time_weighted_occupancy_matches_poisson(self):
+        # the exponential waits, not only the jumps, must be right for this
+        traj = simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=11, max_events=200_000)
+        h = occupancy_histogram(traj, t_start=0.1 * traj.end_time)
+        assert total_variation(h, poisson_distribution(3.0)) < 0.05
+
+    def test_high_start_tabulates_a_window(self):
+        # the rate table spans the states a block can reach, not 0..n_init
+        table = ssa._cover(BIMODAL, ssa._EMPTY, 10**6, 50)
+        assert table.lo == 10**6 - 100
+        assert len(table.up) == 201
+        traj = simulate_trajectory(BIMODAL, n_init=10**6, seed=2, max_events=50)
+        path = np.concatenate([[traj.initial_state], traj.states])
+        assert np.all(np.abs(np.diff(path)) == 1)
 
     @pytest.mark.parametrize("max_time", [float("nan"), float("inf"), -1.0])
     def test_rejects_a_max_time_that_never_stops(self, max_time):
@@ -113,6 +130,53 @@ class TestStationaryHistogram:
     def test_validates_event_count(self):
         with pytest.raises(DomainError):
             stationary_histogram(IMMIGRATION_DEATH, seed=1, n_events=100)
+
+    def test_pure_birth_chain_is_exact(self):
+        # d = 0, so the walk is 0, 1, 2, ... whatever the uniforms, and it runs
+        # past its first rate table; after the burn-in cut each state is
+        # visited once and weighted by its dwell time 1/b(n)
+        kp = KineticParams(k1=0.7, k_m1=0, k2=0, k_m2=3, a=1, volume=1)
+        n_events = 20_000
+        cut = int(0.1 * n_events)
+        h = stationary_histogram(kp, seed=8, n_events=n_events)
+        states = np.arange(cut, n_events)
+        assert np.array_equal(h.support, states)
+        dwell = 1.0 / (0.7 * states + 3.0)
+        np.testing.assert_allclose(h.probs, dwell / dwell.sum(), rtol=1e-12, atol=0)
+
+    def test_output_does_not_depend_on_the_block_size(self, monkeypatch):
+        # 10_003 events: the burn-in cut at event 1000 falls inside a block of 7
+        # and of the default size, and the last block is short
+        hist = stationary_histogram(BIMODAL, seed=21, n_events=10_003)
+        traj = simulate_trajectory(BIMODAL, n_init=3, seed=21, max_events=10_003)
+        monkeypatch.setattr(ssa, "_BLOCK", 7)
+        small = stationary_histogram(BIMODAL, seed=21, n_events=10_003)
+        small_traj = simulate_trajectory(BIMODAL, n_init=3, seed=21, max_events=10_003)
+        assert np.array_equal(hist.support, small.support)
+        assert np.array_equal(hist.probs, small.probs)
+        assert np.array_equal(traj.states, small_traj.states)
+        assert np.array_equal(traj.event_times, small_traj.event_times)
+        assert traj.end_time == small_traj.end_time
+
+
+_RATE = st.floats(min_value=0.0, max_value=1e3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k1=_RATE, k_m1=_RATE, k2=_RATE, k_m2=_RATE,
+       volume=st.floats(min_value=1e-2, max_value=1e2),
+       seed=st.integers(0, 2**32 - 1), n_events=st.integers(10_000, 15_000),
+       burn_in=st.floats(min_value=0.0, max_value=0.5))
+def test_histogram_is_a_law_or_a_typed_error(k1, k_m1, k2, k_m2, volume, seed, n_events,
+                                              burn_in):
+    kp = KineticParams(k1=k1, k_m1=k_m1, k2=k2, k_m2=k_m2, a=1, volume=volume)
+    try:
+        h = stationary_histogram(kp, seed=seed, n_events=n_events, burn_in_fraction=burn_in)
+    except MegstatError:
+        return
+    assert np.all(np.isfinite(h.probs))
+    assert abs(h.probs.sum() - 1.0) < 1e-12
+    assert 0 <= h.support[0] and h.support[-1] <= n_events
 
 
 def test_merged_replicas_deterministic():
