@@ -1,7 +1,8 @@
 """Birth-death kinetics of the exciton population.
 
 State N gains one exciton at rate  b(N) = k1*A*N + k_m2*A*V  and loses one
-at rate  d(N) = k_m1*N*(N-1)/V + k2*N.  The stationary law is the running
+at rate  d(N) = k_m1*N*(N-1)/V + k2*N, written once, in :func:`birth_rate`
+and :func:`death_rate`, for every route.  The stationary law is the running
 product of b(n)/d(n+1), accumulated in log space because the bimodal
 regimes span many orders of magnitude between modes.
 """
@@ -24,18 +25,20 @@ from .errors import (
 )
 
 _MAX_SUPPORT = 2_000_000
+_TAIL_TOL = 1e-12                          # the default; find_extrema always scans at it
+_BOUNDARY_TOL = _CONSERVATION_TOL = 1e-9   # transient_evolve's error bounds
 
 
-def birth_rate(n: int, kp: KineticParams) -> float:
-    """Rate of N -> N+1 out of state n."""
-    if n < 0:
+def birth_rate(n, kp: KineticParams):
+    """Rate of N -> N+1 out of state n, an int or an array of states."""
+    if (n.min(initial=0) if isinstance(n, np.ndarray) else n) < 0:
         raise DomainError("state must be non-negative")
     return kp.k1 * kp.a * n + kp.k_m2 * kp.a * kp.volume
 
 
-def death_rate(n: int, kp: KineticParams) -> float:
-    """Rate of N -> N-1 out of state n (0 at the empty state)."""
-    if n < 0:
+def death_rate(n, kp: KineticParams):
+    """Rate of N -> N-1 out of state n, an int or an array (0 at the empty state)."""
+    if (n.min(initial=0) if isinstance(n, np.ndarray) else n) < 0:
         raise DomainError("state must be non-negative")
     return kp.k_m1 * n * (n - 1) / kp.volume + kp.k2 * n
 
@@ -89,12 +92,11 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
     """
     if not 0 < tail_tol <= 1e-3:
         raise DomainError("tail_tol must lie in (0, 1e-3]")
-    k1a, b0 = kp.k1 * kp.a, kp.k_m2 * kp.a * kp.volume
-    if b0 == 0:
+    if birth_rate(0, kp) == 0:
         return 0, np.zeros(1), np.zeros(0)
     _check_normalizable(kp)
 
-    limit_ratio = k1a / kp.k2 if kp.k_m1 == 0 else 0.0
+    limit_ratio = kp.k1 * kp.a / kp.k2 if kp.k_m1 == 0 else 0.0
     log_tol = math.log(tail_tol)
     lo = 1 if kp.k2 == 0 else 0
     logws, ratios = [np.zeros(1)], []
@@ -104,7 +106,7 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
         # r(start..start+size): the weights of states start+1..start+size,
         # plus the ratio one past the last of them for the decreasing test
         n = np.arange(start, start + size + 1, dtype=float)
-        r = (k1a * n + b0) / (kp.k_m1 * (n + 1) * n / kp.volume + kp.k2 * (n + 1))
+        r = birth_rate(n, kp) / death_rate(n + 1, kp)
         r_prev, r_next = r[:-1], r[1:]
         log_r = np.log(r_prev)
         log_r[0] += last
@@ -131,7 +133,7 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
         size = min(2 * size, _MAX_SUPPORT + 1 - start)
 
 
-def stationary_distribution(kp: KineticParams, tail_tol: float = 1e-12) -> DiscreteDistribution:
+def stationary_distribution(kp: KineticParams, tail_tol: float = _TAIL_TOL) -> DiscreteDistribution:
     """Exact stationary law, truncated by a rigorous geometric tail bound.
 
     Support extends past the last local maximum until the step ratio is
@@ -190,21 +192,23 @@ def alt_closed_form_roots(kp: KineticParams) -> tuple:
     return tuple(sorted(((b - s) / (2 * kp.k_m1), (b + s) / (2 * kp.k_m1))))
 
 
-def find_extrema(kp: KineticParams, tail_tol: float = 1e-12) -> ExtremaReport:
+def find_extrema(kp: KineticParams) -> ExtremaReport:
     """Locate integer extrema of the stationary law from its step ratios.
 
     N is a maximum iff P(N) >= both neighbours, i.e. ratio(N-1) >= 1 and
     ratio(N) <= 1 (the first state of the support needs only the right
     test).  Exact ties (ratio = 1) report both tied states as maxima.  A
     state that is not a maximum is a minimum iff ratio(N-1) <= 1 and
-    ratio(N) >= 1.
+    ratio(N) >= 1.  The ratios come from the stationary scan at a tail bound
+    of 1e-12; the extrema do not depend on it, because past the cut the
+    ratio stays below 1, so no later state is a maximum or a minimum.
     """
     roots = continuous_extremum_roots(kp)
     alt = alt_closed_form_roots(kp)
     disagree = len(alt) != len(roots) or any(
         abs(x - y) > 1e-9 * max(1.0, abs(x), abs(y)) for x, y in zip(roots, alt))
 
-    lo, _, ratios = _stationary_scan(kp, tail_tol)
+    lo, _, ratios = _stationary_scan(kp, _TAIL_TOL)
     # the top state N closes the scan with a ratio below 1: the tail
     # certificate puts r(N) below 1, and the frozen empty chain has r(0) = 0
     r = np.append(ratios, 0.0)
@@ -252,21 +256,14 @@ def detailed_balance_gap(kp: KineticParams) -> float:
     return abs(kp.k1 * kp.a / kp.k_m1 - kp.k_m2 * kp.a / kp.k2)
 
 
-def transient_evolve(
-    kp: KineticParams,
-    initial: DiscreteDistribution,
-    t_grid,
-    n_max: int,
-    conservation_tol: float = 1e-9,
-    boundary_tol: float = 1e-9,
-) -> list:
+def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n_max: int) -> list:
     """Integrate the probability-flow equations on the truncated lattice 0..n_max.
 
     Classic fixed-step 4th-order Runge-Kutta; the step is set from the
     fastest total rate on the lattice.  The upper boundary leaks (mass past
-    n_max is dropped, never reflected or renormalized); a breach of
-    ``boundary_tol`` at n_max or a conservation drift beyond
-    ``conservation_tol`` is an error, not a silent fix.
+    n_max is dropped, never reflected or renormalized); mass above 1e-9 at
+    n_max (``TruncationBreach``) or a drift of the total beyond 1e-9
+    (``StepFailure``) is an error, not a silent fix.
     """
     t_grid = [float(t) for t in t_grid]
     if not all(0 <= t < math.inf for t in t_grid) or any(
@@ -276,8 +273,8 @@ def transient_evolve(
         raise DomainError("initial distribution extends past n_max")
 
     states = np.arange(n_max + 1)
-    b = kp.k1 * kp.a * states + kp.k_m2 * kp.a * kp.volume
-    dr = kp.k_m1 * states * (states - 1) / kp.volume + kp.k2 * states
+    b = birth_rate(states, kp)
+    dr = death_rate(states, kp)
 
     p = np.zeros(n_max + 1)
     p[np.searchsorted(states, initial.support)] = initial.probs
@@ -305,11 +302,11 @@ def transient_evolve(
                 k4 = rhs(p + h * k3)
                 p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t_out
-        if p[-1] > boundary_tol:
+        if p[-1] > _BOUNDARY_TOL:
             raise TruncationBreach(
                 f"mass {p[-1]:.3e} at n_max={n_max} at t={t}; enlarge the lattice")
         total = p.sum()
-        if abs(total - 1.0) > conservation_tol:
+        if abs(total - 1.0) > _CONSERVATION_TOL:
             raise StepFailure(f"probability sum drifted to {total!r} at t={t}")
         q = np.where((p < 0) & (p > -1e-12), 0.0, p)
         if np.any(q < 0):

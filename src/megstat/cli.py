@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
 Modes: stat, calibrate, stationary, extrema, evolve, ssa, reproduce.
-Parameters come from flags or a JSON config file (flags win); outputs are
-CSV (``n,probability`` rows plus ``# key=value`` moment footers) or a
-single self-describing JSON object.  Exit codes: 0 success, 1 domain
-error (``ERROR <CODE>: message`` on stderr), 2 usage/config error.
+Parameters come from flags or a JSON config file (flags win).  Outputs are
+a single self-describing JSON object; stat, calibrate, stationary and ssa
+write CSV instead with ``--format csv`` (``n,probability`` rows plus
+``# key=value`` moment footers, or ``key,value`` rows for calibrate).  Exit
+codes: 0 success, 1 domain error (``ERROR <CODE>: message`` on stderr),
+2 usage/config error.
 """
 
 from __future__ import annotations
@@ -27,19 +29,6 @@ from .errors import MegstatError
 from . import birthdeath, multiplicity, ssa
 
 KINETIC_FLAGS = ("k1A", "km1", "k2", "km2AV", "V")
-
-# accepted config-file keys per mode (dashes normalized to underscores)
-_MODE_KEYS = {
-    "stat": {"epsilon", "g", "output", "format"},
-    "calibrate": {"epsilon", "target_mean", "output", "format"},
-    "stationary": {"k1A", "km1", "k2", "km2AV", "V", "tail_tol", "output", "format"},
-    "extrema": {"k1A", "km1", "k2", "km2AV", "V", "output", "format"},
-    "evolve": {"k1A", "km1", "k2", "km2AV", "V", "t_grid", "n_max", "n_init",
-               "output", "format"},
-    "ssa": {"k1A", "km1", "k2", "km2AV", "V", "seed", "events", "burn_in",
-            "output", "format"},
-    "reproduce": {"case", "output", "format"},
-}
 
 
 class UsageError(Exception):
@@ -290,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="mode")
 
-    def common(p):
+    def common(p, csv=True):
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        if csv:
+            p.add_argument("--format", choices=("csv", "json"), default=None)
 
     p = sub.add_parser("stat", help="multiplicity law at given (epsilon, g)")
     p.add_argument("--epsilon", type=float)
@@ -319,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extrema", help="extremum/bimodality analysis")
     kinetic(p)
-    common(p)
+    common(p, csv=False)
 
     p = sub.add_parser("evolve", help="transient probability evolution")
     kinetic(p)
     p.add_argument("--t-grid", dest="t_grid", help="comma-separated output times")
     p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("--n-init", type=int, dest="n_init")
-    common(p)
+    common(p, csv=False)
 
     p = sub.add_parser("ssa", help="stochastic-simulation stationary histogram")
     kinetic(p)
@@ -339,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="pinned reference-case reproduction")
     p.add_argument("--case", choices=sorted(_CASES))
-    common(p)
+    common(p, csv=False)
 
     return parser
 
@@ -347,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(args, parser: argparse.ArgumentParser) -> None:
     """Fill unset args from the JSON config file; flags always win.
 
-    Each value is parsed as its flag's command-line text would be, with the
-    flag's ``type`` and ``choices``.
+    The accepted keys are the mode's flags (dashes or underscores), save
+    ``--config`` itself.  Each value is parsed as its flag's command-line
+    text would be, with the flag's ``type`` and ``choices``.
     """
     if not getattr(args, "config", None):
         return
@@ -359,9 +350,9 @@ def _apply_config(args, parser: argparse.ArgumentParser) -> None:
         raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    allowed = _MODE_KEYS[args.mode]
     modes, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in modes.choices[args.mode]._actions}
+    actions = {a.dest: a for a in modes.choices[args.mode]._actions
+               if a.dest not in ("help", "config")}
     for raw_key, value in cfg.items():
         key = raw_key.replace("-", "_")
         if key == "mode":
@@ -369,7 +360,7 @@ def _apply_config(args, parser: argparse.ArgumentParser) -> None:
                 raise UsageError(
                     f"config mode {value!r} conflicts with requested mode {args.mode!r}")
             continue
-        if key not in allowed:
+        if key not in actions:
             raise UsageError(f"unknown config key {raw_key!r} for mode {args.mode!r}")
         if value is None or getattr(args, key, None) is not None:
             continue

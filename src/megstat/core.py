@@ -1,9 +1,9 @@
 """Shared domain types: parameter blocks, discrete distributions, moments.
 
 All downstream math runs on dimensionless reduced parameters; dimensional
-inputs enter only through :func:`reduce_params`.  Distributions keep their
-unnormalized log-mass alongside the normalized probabilities because the
-statistical weights span hundreds of orders of magnitude.
+inputs enter only through :func:`reduce_params`.  Distributions built from
+log-mass are normalized in log space, because the statistical weights span
+hundreds of orders of magnitude.
 """
 
 from __future__ import annotations
@@ -105,26 +105,19 @@ def normalize_log_weights(logw: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Normalized probability mass on an ordered set of non-negative integers.
-
-    ``log_weights`` preserves the unnormalized log-mass for diagnostics;
-    points with zero probability carry ``-inf``.
-    """
+    """Normalized probability mass on an ordered set of non-negative integers."""
 
     support: np.ndarray
     probs: np.ndarray
-    log_weights: np.ndarray
     degenerate: bool = False   # chain frozen at 0 (returned instead of an error)
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=np.int64)
         probs = np.asarray(self.probs, dtype=float)
-        logw = np.asarray(self.log_weights, dtype=float)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "log_weights", logw)
-        if support.ndim != 1 or support.shape != probs.shape or support.shape != logw.shape:
-            raise DomainError("support, probs and log_weights must be 1-d and congruent")
+        if support.ndim != 1 or support.shape != probs.shape:
+            raise DomainError("support and probs must be 1-d and congruent")
         if len(support) == 0:
             raise DomainError("empty support")
         if np.any(support < 0) or np.any(np.diff(support) <= 0):
@@ -139,15 +132,11 @@ class DiscreteDistribution:
     @classmethod
     def from_log_weights(cls, support, log_weights, **kw) -> "DiscreteDistribution":
         """Normalize unnormalized log-mass via log-sum-exp."""
-        logw = np.asarray(log_weights, dtype=float)
-        return cls(np.asarray(support), normalize_log_weights(logw), logw, **kw)
+        return cls(support, normalize_log_weights(np.asarray(log_weights, dtype=float)), **kw)
 
     @classmethod
     def from_probs(cls, support, probs, **kw) -> "DiscreteDistribution":
-        probs = np.asarray(probs, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = np.log(probs)
-        return cls(np.asarray(support), probs, logw, **kw)
+        return cls(support, probs, **kw)
 
     def prob(self, n: int) -> float:
         """Probability at integer n (0 off support)."""

@@ -42,6 +42,9 @@ _LGAMMA = np.array([math.inf])
 # largest theta = ln g whose coupling is a finite double
 _LOG_MAX_COUPLING = math.log(sys.float_info.max)
 
+# calibrate_coupling's distance to the target mean, and its cap on laws evaluated
+_MEAN_TOL, _MAX_ITER = 1e-6, 200
+
 
 def _lgamma(k: np.ndarray) -> np.ndarray:
     """ln Gamma at the non-negative integers k (ascending) from the shared table."""
@@ -103,13 +106,8 @@ class CalibrationResult:
     bracket: tuple
 
 
-def calibrate_coupling(
-    energy_ratio: float,
-    target_mean: float,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> CalibrationResult:
-    """Find the coupling g whose multiplicity law has the requested mean.
+def calibrate_coupling(energy_ratio: float, target_mean: float) -> CalibrationResult:
+    """Find the coupling g whose multiplicity law has the requested mean, within 1e-6.
 
     With theta = ln g the law is an exponential family in n, p(n) ~
     exp(n*theta + c(n)), so d<n>/dtheta = Var(n) > 0 when two or more
@@ -117,7 +115,7 @@ def calibrate_coupling(
     and Newton's step -(<n> - target)/Var(n) is exact to first order.
     Each step is kept inside a bracket that always holds the root; a step
     that leaves it is replaced by bisection.  ``iterations`` counts the laws
-    evaluated and ``bracket`` is the last bracket, in g.
+    evaluated (at most 200) and ``bracket`` is the last bracket, in g.
     """
     support = open_channels(energy_ratio)
     if len(support) < 2:
@@ -145,13 +143,13 @@ def calibrate_coupling(
     j = min(max(int(round((target_mean - 2.0) / 2.0)), 0), len(dc) - 1)
     theta = min(max(-float(dc[j]) / 2.0, lo), hi)
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         # evaluate at ln of the coupling that will be returned, so that the
         # achieved mean is the mean multiplicity_distribution gives for it
         coupling = math.exp(theta)
         probs = normalize_log_weights(support * math.log(coupling) + c)
         mean = float(np.dot(support, probs))
-        if abs(mean - target_mean) <= tol:
+        if abs(mean - target_mean) <= _MEAN_TOL:
             return CalibrationResult(coupling=coupling, achieved_mean=mean,
                                      iterations=iterations,
                                      bracket=(math.exp(lo), math.exp(hi)))
@@ -165,9 +163,9 @@ def calibrate_coupling(
             theta = 0.5 * (lo + hi)
             if not lo < theta < hi:
                 raise Unreachable(
-                    f"no double-precision coupling gives mean {target_mean} within {tol}")
+                    f"no double-precision coupling gives mean {target_mean} within {_MEAN_TOL}")
     raise Unreachable(
-        f"calibration did not reach mean {target_mean} within {max_iter} iterations")
+        f"calibration did not reach mean {target_mean} within {_MAX_ITER} iterations")
 
 
 def deviation_scan(coupling: float, energy_ratios) -> list:

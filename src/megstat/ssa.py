@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .birthdeath import birth_rate, death_rate
 from .core import DiscreteDistribution, KineticParams
 from .errors import DomainError, FrozenChain
 
@@ -49,11 +50,11 @@ class Trajectory:
     rng_name: str = RNG_NAME
 
 
-def _rates(kp: KineticParams, n):
-    """Birth and death rates at the states ``n`` (a float or float array)."""
-    birth = kp.k1 * kp.a * n + kp.k_m2 * kp.a * kp.volume
-    death = kp.k_m1 / kp.volume * n * (n - 1) + kp.k2 * n
-    return birth, death
+def _generator(seed) -> np.random.Generator:
+    """The PCG64 stream of ``seed``, which must be a non-negative integer."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 class _Table(NamedTuple):
@@ -78,8 +79,9 @@ def _cover(kp: KineticParams, table: _Table, n: int, size: int) -> _Table:
         return table
     half = max(len(table.up), 2 * size)
     lo = max(n - half, 0)
-    birth, death = _rates(kp, np.arange(lo, n + half + 1, dtype=float))
-    total = birth + death
+    states = np.arange(lo, n + half + 1, dtype=float)
+    birth = birth_rate(states, kp)
+    total = birth + death_rate(states, kp)
     if not np.isfinite(total).all():
         raise DomainError("the rates overflow a double within the simulated states")
     up = np.ones(len(total))
@@ -128,7 +130,7 @@ def simulate_trajectory(
     cap_events = math.inf if max_events is None else int(max_events)
     cap_time = math.inf if max_time is None else float(max_time)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     table = _EMPTY
     times = [np.empty(0)]
     states = [np.empty(0, dtype=np.int64)]
@@ -208,12 +210,12 @@ def stationary_histogram(
         raise DomainError("n_events must be at least 10^4")
     if not 0.0 <= burn_in_fraction <= 0.5:
         raise DomainError("burn_in_fraction must lie in [0, 0.5]")
-    if _rates(kp, 0.0)[0] == 0.0:
+    if birth_rate(0, kp) == 0:
         raise FrozenChain("the chain is frozen at the empty state: its birth rate there is 0")
     n_events = int(n_events)
     cut = int(burn_in_fraction * n_events)
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _generator(seed)
     table = _EMPTY
     counts = np.zeros(0, dtype=np.int64)
     n = 0
@@ -226,8 +228,7 @@ def stationary_histogram(
             visits[:len(counts)] += counts
             counts = visits
     support = np.flatnonzero(counts)
-    birth, death = _rates(kp, support.astype(float))
-    rate = birth + death
+    rate = birth_rate(support, kp) + death_rate(support, kp)
     # dwell times relative to the longest one, which stay finite for tiny rates
     weights = counts[support] * (rate.min() / rate)
     return DiscreteDistribution.from_probs(support, weights / weights.sum())

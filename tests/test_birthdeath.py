@@ -20,6 +20,7 @@ from megstat import (
     total_variation,
     transient_evolve,
 )
+from megstat import ssa
 from megstat.birthdeath import stationary_weights_exact
 from megstat.errors import (
     DegenerateDenominator,
@@ -84,6 +85,24 @@ class TestRates:
     def test_birth_at_empty_state(self):
         kp = KineticParams(k1=9, k_m1=1, k2=1, k_m2=2, a=3, volume=0.5)
         assert birth_rate(0, kp) == kp.k_m2 * kp.a * kp.volume
+        # an array of states gives the scalar rates, bit for bit
+        n = np.arange(60)
+        for rate in (birth_rate, death_rate):
+            assert rate(n, kp).tolist() == [rate(int(k), kp) for k in n]
+
+    @pytest.mark.parametrize("rate", [birth_rate, death_rate])
+    @pytest.mark.parametrize("n", [-1, np.array([0, 3, -1])])
+    def test_negative_state_rejected(self, rate, n):
+        with pytest.raises(DomainError):
+            rate(n, BIMODAL)
+
+    @pytest.mark.parametrize("volume", [0.5, 0.3])
+    def test_ssa_total_rate_is_birth_plus_death(self, volume):
+        # at V = 0.3, k_m1/V*n*(n-1) and k_m1*n*(n-1)/V round differently
+        kp = KineticParams(k1=0.7, k_m1=1.3, k2=0.9, k_m2=2, a=1.1, volume=volume)
+        table = ssa._cover(kp, ssa._EMPTY, 40, 30)
+        n = np.arange(table.lo, table.lo + len(table.total))
+        assert table.total.tolist() == (birth_rate(n, kp) + death_rate(n, kp)).tolist()
 
     def test_birth_substitution(self):
         kp = KineticParams(k1=0.5, k_m1=0, k2=0, k_m2=2, a=1, volume=1)

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from megstat import DiscreteDistribution, KineticParams, calibrate_coupling, transient_evolve
 from megstat.cli import _CSV_ROWS, build_parser, main
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# immigration-death with mean 3, as the CLI's rate-group flags
+POISSON3 = ["--k1A", "0", "--km1", "0", "--k2", "1", "--km2AV", "3", "--V", "1"]
 
 
 def run_process(args):
@@ -18,6 +21,11 @@ def run_process(args):
     return subprocess.run(cmd, capture_output=True, text=True, timeout=60,
                           env={**os.environ,
                                "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])})
+
+
+def as_flags(keys):
+    """The command-line flags that set each config key to its value."""
+    return [item for key, val in keys.items() for item in (f"--{key.replace('_', '-')}", str(val))]
 
 
 def run(argv, capsys):
@@ -58,6 +66,13 @@ class TestUsageErrorsExitTwo:
         assert proc.returncode == 2
         assert "ERROR USAGE" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_negative_seed_is_a_domain_error():
+    proc = run_process(["ssa", *POISSON3, "--seed", "-1", "--events", "10000"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ERROR DOMAIN_ERROR")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -127,6 +142,47 @@ class TestStationary:
         assert "km1" in err
 
 
+class TestCalibrate:
+    def test_json_payload(self, capsys):
+        rc, out, _ = run(["calibrate", "--epsilon", "3.63", "--target-mean", "4.2"], capsys)
+        assert rc == 0
+        data = json.loads(out)
+        res = calibrate_coupling(3.63, 4.2)
+        assert data["g"] == res.coupling
+        assert data["achieved_mean"] == res.achieved_mean == pytest.approx(4.2, abs=1e-6)
+        assert data["iterations"] == res.iterations
+        assert data["bracket"] == list(res.bracket)
+
+    def test_csv_rows(self, capsys):
+        rc, out, _ = run(["calibrate", "--epsilon", "3.63", "--target-mean", "4.2",
+                          "--format", "csv"], capsys)
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "key,value"
+        rows = dict(line.split(",") for line in lines[1:])
+        assert list(rows) == ["g", "achieved_mean", "iterations"]
+        res = calibrate_coupling(3.63, 4.2)
+        assert float(rows["g"]) == res.coupling
+        assert float(rows["achieved_mean"]) == res.achieved_mean
+        assert int(rows["iterations"]) == res.iterations
+
+
+class TestEvolve:
+    def test_snapshots_match_the_library(self, capsys):
+        rc, out, _ = run(["evolve", *POISSON3, "--t-grid", "0.5,1,5", "--n-max", "40"], capsys)
+        assert rc == 0
+        data = json.loads(out)
+        assert data["t_grid"] == [0.5, 1.0, 5.0]
+        kp = KineticParams(k1=0, k_m1=0, k2=1, k_m2=3, a=1, volume=1)
+        start = DiscreteDistribution.from_probs([0], [1.0])
+        laws = transient_evolve(kp, start, [0.5, 1.0, 5.0], 40)
+        assert len(data["snapshots"]) == 3
+        for snap, law in zip(data["snapshots"], laws):
+            assert snap["support"] == list(range(41))
+            assert sum(snap["probs"]) == pytest.approx(1.0, abs=1e-12)
+            assert snap["probs"] == law.probs.tolist()
+
+
 class TestExtrema:
     def test_bimodal_report(self, capsys):
         rc, out, _ = run(["extrema", "--k1A", "5", "--km1", "0.3", "--k2", "2",
@@ -152,6 +208,42 @@ class TestConfigFile:
         rc, out, _ = run(["stat", "--config", str(cfg), "--epsilon", "4.9"], capsys)
         assert rc == 0
         assert json.loads(out)["params"]["epsilon"] == 4.9
+
+    # every flag of each mode, as a config key
+    EVERY_KEY = {
+        "stat": {"epsilon": 3.63, "g": 132.66, "format": "csv"},
+        "calibrate": {"epsilon": 3.63, "target_mean": 4.2, "format": "csv"},
+        "stationary": {"k1A": 5, "km1": 0.3, "k2": 2, "km2AV": 0.1, "V": 1,
+                       "tail_tol": 1e-10, "format": "csv"},
+        "extrema": {"k1A": 5, "km1": 0.3, "k2": 2, "km2AV": 0.1, "V": 1},
+        "evolve": {"k1A": 0, "km1": 0, "k2": 1, "km2AV": 3, "V": 1,
+                   "t_grid": "0.5,1", "n_max": 40, "n_init": 2},
+        "ssa": {"k1A": 0, "km1": 0, "k2": 1, "km2AV": 3, "V": 1,
+                "seed": 5, "events": 10000, "burn_in": 0.2, "format": "csv"},
+        "reproduce": {"case": "pbse-3.63"},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(EVERY_KEY))
+    def test_every_flag_is_a_config_key(self, mode, tmp_path):
+        keys = self.EVERY_KEY[mode]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**keys, "output": str(tmp_path / "from-config")}))
+        assert main([mode, "--config", str(cfg)]) == 0
+        assert main([mode, *as_flags(keys), "--output", str(tmp_path / "from-flags")]) == 0
+        from_config = (tmp_path / "from-config").read_bytes()
+        assert from_config and from_config == (tmp_path / "from-flags").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["extrema", "evolve", "reproduce"])
+    def test_json_only_modes_take_no_format(self, mode, tmp_path, capsys):
+        keys = self.EVERY_KEY[mode]
+        with pytest.raises(SystemExit) as exc:
+            main([mode, *as_flags(keys), "--format", "json"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**keys, "format": "json"}))
+        rc, _, err = run([mode, "--config", str(cfg)], capsys)
+        assert rc == 2
+        assert "'format'" in err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

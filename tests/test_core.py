@@ -102,8 +102,7 @@ class TestNonFiniteInputs:
 class TestDiscreteDistribution:
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
-            DiscreteDistribution(np.array([0, 1]), np.array([0.5, 0.6]),
-                                 np.log(np.array([0.5, 0.6])))
+            DiscreteDistribution(np.array([0, 1]), np.array([0.5, 0.6]))
 
     def test_rejects_unsorted_support(self):
         with pytest.raises(DomainError):

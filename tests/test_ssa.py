@@ -131,6 +131,13 @@ class TestStationaryHistogram:
         with pytest.raises(DomainError):
             stationary_histogram(IMMIGRATION_DEATH, seed=1, n_events=100)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(DomainError):
+            stationary_histogram(IMMIGRATION_DEATH, seed=seed, n_events=10_000)
+        with pytest.raises(DomainError):
+            simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=seed, max_events=10)
+
     def test_pure_birth_chain_is_exact(self):
         # d = 0, so the walk is 0, 1, 2, ... whatever the uniforms, and it runs
         # past its first rate table; after the burn-in cut each state is
