@@ -21,6 +21,7 @@ from .errors import (
     NonNormalizable,
     NotApplicable,
     StepFailure,
+    SupportTooLarge,
     TruncationBreach,
 )
 
@@ -52,11 +53,35 @@ def step_ratio(n: int, kp: KineticParams) -> float:
     return b / d
 
 
-def _check_normalizable(kp: KineticParams) -> None:
-    # With k_m1 = 0 the ratio tends to k1*A/k2; geometric decay needs k1*A < k2.
-    if kp.k_m1 == 0 and kp.k1 * kp.a >= kp.k2:
-        raise NonNormalizable(
-            "step ratio does not decay: k_m1 = 0 and k1*A >= k2")
+def _check_linear_law(kp: KineticParams, tail_tol: float) -> None:
+    """Reject a k_m1 = 0 law that does not exist or needs too many states, before any scan.
+
+    With k_m1 = 0 the law is negative binomial with r = k_m2*A*V/(k1*A) and
+    rho = k1*A/k2 (Poisson when k1*A = 0).  It exists only for rho < 1.  Every
+    ratio past state m is at least rho_min = rho*min(1, (m+r)/(m+1)), so the
+    mass at m and above is at least P(m)/(1 - rho_min).  When that holds twice
+    tail_tol at m = _MAX_SUPPORT + 2, past every state the scan tests, no tail
+    certificate can hold there and the scan would run out of states.
+    """
+    if kp.k_m1 != 0:
+        return
+    k1a = kp.k1 * kp.a
+    if k1a >= kp.k2:
+        raise NonNormalizable("step ratio does not decay: k_m1 = 0 and k1*A >= k2")
+    r = kp.k_m2 * kp.a * kp.volume / k1a if k1a > 0 else math.inf
+    # the scan decides alone for the Poisson law, and past r = 1e12, where the
+    # rounding of lgamma(m + r) - lgamma(r) nears the factor 2
+    if r > 1e12:
+        return
+    rho = k1a / kp.k2
+    m = _MAX_SUPPORT + 2
+    log_pm = (math.lgamma(m + r) - math.lgamma(r) - math.lgamma(m + 1)
+              + m * math.log(rho) + r * math.log1p(-rho))
+    rho_min = rho * min(1.0, (m + r) / (m + 1))
+    if log_pm - math.log1p(-rho_min) >= math.log(2 * tail_tol):
+        raise SupportTooLarge(
+            f"the negative-binomial law (r={r:.6g}, rho={rho:.6g}) holds more than "
+            f"{tail_tol:g} past {_MAX_SUPPORT} states")
 
 
 def stationary_weights_exact(kp: KineticParams, n_max: int) -> list:
@@ -94,7 +119,7 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
         raise DomainError("tail_tol must lie in (0, 1e-3]")
     if birth_rate(0, kp) == 0:
         return 0, np.zeros(1), np.zeros(0)
-    _check_normalizable(kp)
+    _check_linear_law(kp, tail_tol)
 
     limit_ratio = kp.k1 * kp.a / kp.k2 if kp.k_m1 == 0 else 0.0
     log_tol = math.log(tail_tol)
@@ -128,7 +153,7 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
         last, log_total = logw[-1], totals[-1]
         start += size
         if start > _MAX_SUPPORT:
-            raise NonNormalizable(
+            raise SupportTooLarge(
                 f"support exceeded {_MAX_SUPPORT} states without meeting the tail bound")
         size = min(2 * size, _MAX_SUPPORT + 1 - start)
 
@@ -139,7 +164,8 @@ def stationary_distribution(kp: KineticParams, tail_tol: float = _TAIL_TOL) -> D
     Support extends past the last local maximum until the step ratio is
     below 1 and decreasing, and the bound  P(N) * rho/(1-rho) < tail_tol
     (rho an upper bound on all later ratios) certifies the dropped mass.
-    With k2 = 0 the support starts at 1, because state 0 is transient.
+    With k2 = 0 the support starts at 1, because state 0 is transient.  A law
+    whose certified support passes 2,000,000 states raises ``SupportTooLarge``.
     """
     lo, logw, _ = _stationary_scan(kp, tail_tol)
     return DiscreteDistribution.from_log_weights(

@@ -64,14 +64,11 @@ def _moment_dict(d: DiscreteDistribution) -> dict:
     }
 
 
-def _dist_payload(d: DiscreteDistribution, params: dict, seed=None) -> dict:
-    return {
-        "support": [int(n) for n in d.support],
-        "probs": [float(p) for p in d.probs],
-        "moments": _moment_dict(d),
-        "params": params,
-        "provenance": _provenance(seed),
-    }
+def _law(d: DiscreteDistribution, params: dict) -> tuple:
+    """A law's payload, its ``n,probability`` table and its moment footers."""
+    moms = _moment_dict(d)
+    payload = {"support": d.support, "probs": d.probs, "moments": moms, "params": params}
+    return payload, ("n,probability", d.support, d.probs), moms
 
 
 # CSV rows are formatted this many at a time, so that a long law is never
@@ -79,37 +76,36 @@ def _dist_payload(d: DiscreteDistribution, params: dict, seed=None) -> dict:
 _CSV_ROWS = 512
 
 
-def _emit(d: DiscreteDistribution, params: dict, args, seed=None) -> None:
-    """Write a law as one JSON object, or as ``n,probability`` rows plus moment footers."""
-    if args.format == "json":
-        _emit_json_only(_dist_payload(d, params, seed), args)
-        return
-    footers = "".join(f"# {key}={val!r}\n" for key, val in sorted(_moment_dict(d).items()))
+def _emit(args, payload: dict, table=None, footers=None) -> None:
+    """Write a run's result to --output or stdout; the only place output is formatted.
 
-    def pieces():
-        yield "n,probability\n"
-        for lo in range(0, len(d.probs), _CSV_ROWS):
-            ns = d.support[lo:lo + _CSV_ROWS].tolist()
-            ps = d.probs[lo:lo + _CSV_ROWS].tolist()
-            yield "".join(f"{n},{p!r}\n" for n, p in zip(ns, ps))
-        yield footers
+    JSON (the default) is ``payload`` plus its provenance, keys sorted, with
+    numpy arrays written as lists.  With ``--format csv`` it is ``table``, a
+    ``(header, keys, values)`` triple of equal-length arrays written as
+    ``key,repr(value)`` rows, then ``# name=repr(value)`` lines for
+    ``footers`` in name order.
+    """
+    if getattr(args, "format", None) == "csv":
+        header, keys, values = table
 
-    _write(pieces(), args)
+        def pieces():
+            yield header + "\n"
+            for lo in range(0, len(keys), _CSV_ROWS):
+                rows = zip(keys[lo:lo + _CSV_ROWS].tolist(), values[lo:lo + _CSV_ROWS].tolist())
+                yield "".join(f"{k},{v!r}\n" for k, v in rows)
+            yield "".join(f"# {k}={v!r}\n" for k, v in sorted((footers or {}).items()))
 
-
-def _emit_json_only(payload, args):
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
-
-
-def _write(text, args) -> None:
-    """Write ``text``, one string or an iterable of strings, to --output or stdout."""
-    pieces = (text,) if isinstance(text, str) else text
+        text = pieces()
+    else:
+        payload = {**payload, "provenance": _provenance(getattr(args, "seed", None))}
+        # arrays become lists only here, so a CSV run never builds them
+        text = (json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n",)
     if not args.output:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(text)
         return
     try:
         with open(args.output, "w") as fh:
-            fh.writelines(pieces)
+            fh.writelines(text)
     except OSError as exc:
         raise UsageError(f"cannot write --output {args.output!r}: {exc.strerror}") from None
 
@@ -121,7 +117,7 @@ def _run_stat(args):
         raise UsageError("epsilon must exceed 1")
     params = ReducedStatParams(coupling=args.g, energy_ratio=args.epsilon)
     d = multiplicity.multiplicity_distribution(params)
-    _emit(d, {"epsilon": args.epsilon, "g": args.g}, args)
+    _emit(args, *_law(d, {"epsilon": args.epsilon, "g": args.g}))
 
 
 def _run_calibrate(args):
@@ -134,21 +130,19 @@ def _run_calibrate(args):
         "g": res.coupling,
         "achieved_mean": res.achieved_mean,
         "iterations": res.iterations,
-        "bracket": list(res.bracket),
+        "bracket": res.bracket,
         "params": {"epsilon": args.epsilon, "target_mean": args.target_mean},
-        "provenance": _provenance(),
     }
-    if args.format == "csv":
-        _write("key,value\n" + "".join(
-            f"{k},{payload[k]!r}\n" for k in ("g", "achieved_mean", "iterations")), args)
-    else:
-        _emit_json_only(payload, args)
+    rows = ("g", "achieved_mean", "iterations")
+    # object dtype keeps each value as it is: the iteration count stays an int
+    values = np.array([payload[k] for k in rows], dtype=object)
+    _emit(args, payload, ("key,value", np.array(rows), values))
 
 
 def _run_stationary(args):
     kp = _kinetic_params(args)
     d = birthdeath.stationary_distribution(kp, tail_tol=args.tail_tol)
-    _emit(d, _kin_dict(args), args)
+    _emit(args, *_law(d, _kin_dict(args)))
 
 
 def _kin_dict(args):
@@ -158,17 +152,7 @@ def _kin_dict(args):
 def _run_extrema(args):
     kp = _kinetic_params(args)
     rep = birthdeath.find_extrema(kp)
-    payload = {
-        "continuous_roots": list(rep.continuous_roots),
-        "integer_maxima": list(rep.integer_maxima),
-        "integer_minima": list(rep.integer_minima),
-        "is_bimodal": rep.is_bimodal,
-        "alt_closed_form_roots": list(rep.alt_closed_form_roots),
-        "discrepancy_flag": rep.discrepancy_flag,
-        "params": _kin_dict(args),
-        "provenance": _provenance(),
-    }
-    _emit_json_only(payload, args)
+    _emit(args, {**vars(rep), "params": _kin_dict(args)})
 
 
 def _run_evolve(args):
@@ -181,25 +165,16 @@ def _run_evolve(args):
         raise UsageError(f"--t-grid {args.t_grid!r} is not a comma-separated list of times") from None
     initial = DiscreteDistribution.from_probs([args.n_init], [1.0])
     dists = birthdeath.transient_evolve(kp, initial, t_grid, n_max=args.n_max)
-    payload = {
-        "t_grid": t_grid,
-        "snapshots": [
-            {"t": t, "support": [int(n) for n in d.support],
-             "probs": [float(p) for p in d.probs],
-             "mean": d.mean()}
-            for t, d in zip(t_grid, dists)
-        ],
-        "params": _kin_dict(args),
-        "provenance": _provenance(),
-    }
-    _emit_json_only(payload, args)
+    snapshots = [{"t": t, "support": d.support, "probs": d.probs, "mean": d.mean()}
+                 for t, d in zip(t_grid, dists)]
+    _emit(args, {"t_grid": t_grid, "snapshots": snapshots, "params": _kin_dict(args)})
 
 
 def _run_ssa(args):
     kp = _kinetic_params(args)
     d = ssa.stationary_histogram(kp, seed=args.seed, n_events=args.events,
                                  burn_in_fraction=args.burn_in)
-    _emit(d, _kin_dict(args), args, seed=args.seed)
+    _emit(args, *_law(d, _kin_dict(args)))
 
 
 # pinned reproduction cases: photon-to-gap ratios with target mean and the
@@ -248,9 +223,8 @@ def _run_reproduce(args):
         "exciton_yield": m.exciton_yield,
         "checks": checks,
         "passed": all(checks.values()),
-        "provenance": _provenance(),
     }
-    _emit_json_only(payload, args)
+    _emit(args, payload)
     return 0 if payload["passed"] else 1
 
 
@@ -321,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ssa", help="stochastic-simulation stationary histogram")
     kinetic(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--events", type=int)
+    p.add_argument("--events", type=int,
+                   help="jump-chain events to walk, in [10^4, 10^9] (default 10^6)")
     p.add_argument("--burn-in", type=float, dest="burn_in",
                    help="share of the events discarded before counting, in [0, 0.5] "
                         "(default 0.1)")

@@ -41,6 +41,12 @@ class NonNormalizable(MegstatError):
     code = "NON_NORMALIZABLE"
 
 
+class SupportTooLarge(MegstatError):
+    """The law is normalizable, but its support needs more states than the scan may take."""
+
+    code = "SUPPORT_TOO_LARGE"
+
+
 class DegenerateDenominator(DomainError):
     """Closed-form extremum formula has a vanishing denominator."""
 

@@ -1,9 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from megstat import (
     DiscreteDistribution,
@@ -25,8 +27,10 @@ from megstat.birthdeath import stationary_weights_exact
 from megstat.errors import (
     DegenerateDenominator,
     DomainError,
+    MegstatError,
     NonNormalizable,
     NotApplicable,
+    SupportTooLarge,
     TruncationBreach,
 )
 
@@ -144,6 +148,24 @@ class TestStationaryDistribution:
         with pytest.raises(NonNormalizable):
             stationary_distribution(
                 KineticParams(k1=2, k_m1=0, k2=1, k_m2=0.5, a=1, volume=1))
+
+    def test_near_critical_linear_law_is_too_large_up_front(self):
+        # NegBin(r = 1, rho = 1 - 1e-6) is normalizable, but its mean is ~1e6
+        # and its 1e-12 tail needs ~2.8e7 states; a 2,000,000-state scan takes ~0.2 s
+        kp = KineticParams(k1=1 - 1e-6, k_m1=0, k2=1, k_m2=1, a=1, volume=1)
+        start = time.perf_counter()
+        with pytest.raises(SupportTooLarge):
+            stationary_distribution(kp)
+        assert time.perf_counter() - start < 0.05
+        with pytest.raises(SupportTooLarge):
+            find_extrema(kp)
+
+    def test_scan_out_of_states_is_too_large(self):
+        # NegBin(1, 1 - 1.36e-5) holds ~1.5e-12 past 2,000,000 states: under
+        # the up-front check's factor 2, so the scan itself runs out of states
+        kp = KineticParams(k1=1 - 1.36e-5, k_m1=0, k2=1, k_m2=1, a=1, volume=1)
+        with pytest.raises(SupportTooLarge, match="support exceeded"):
+            stationary_distribution(kp)
 
     def test_empty_chain_degenerates(self):
         d = stationary_distribution(
@@ -367,6 +389,42 @@ class TestTransientEvolve:
         init = DiscreteDistribution.from_probs([0], [1.0])
         with pytest.raises(TruncationBreach):
             transient_evolve(IMMIGRATION_DEATH, init, [5.0], n_max=5)
+
+
+_LOG_RATE = st.floats(-6.0, 6.0).map(math.exp)
+
+
+@st.composite
+def kinetic_params(draw):
+    """Rates log-uniform in e^+-6 and V in e^-2..e^4; half the draws take k_m1 = 0
+    with k1*A/k2 within 1e-9..1e-1 of 1, on either side."""
+    k2, k_m2, volume = draw(_LOG_RATE), draw(_LOG_RATE), draw(st.floats(-2.0, 4.0).map(math.exp))
+    if draw(st.booleans()):
+        gap = 10.0 ** draw(st.floats(-9.0, -1.0))
+        k1, k_m1 = k2 * (1 + gap if draw(st.booleans()) else 1 - gap), 0.0
+    else:
+        k1, k_m1 = draw(_LOG_RATE), draw(_LOG_RATE)
+    return KineticParams(k1=k1, k_m1=k_m1, k2=k2, k_m2=k_m2, a=1, volume=volume)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinetic_params())
+def test_law_and_extrema_are_finite_or_a_typed_error(kp):
+    try:
+        d = stationary_distribution(kp)
+    except MegstatError as exc:
+        with pytest.raises(type(exc)):
+            find_extrema(kp)
+        return
+    assert np.all(np.isfinite(d.probs))
+    assert abs(d.probs.sum() - 1.0) <= 1e-12
+    lo = int(d.support[0])
+    assert lo in (0, 1) and d.support.tolist() == list(range(lo, lo + len(d.support)))
+    rep = find_extrema(kp)
+    assert all(math.isfinite(x) for x in rep.continuous_roots + rep.alt_closed_form_roots)
+    assert rep.integer_maxima and set(rep.integer_maxima) <= set(d.support.tolist())
+    # the law's peak is among the reported maxima, up to rounding on a near-flat top
+    assert d.probs[np.subtract(rep.integer_maxima, lo)].max() >= d.probs.max() * (1 - 1e-9)
 
 
 def test_incompatible_rates_break_poisson_criterion():

@@ -51,14 +51,33 @@ class TestUsage:
         assert exc.value.code == 2
 
 
+# per mode: its flags with one required parameter left out, and a full
+# config with one value of the wrong kind
+MALFORMED = {
+    "stat": (["--epsilon", "3.63"], {"epsilon": "abc", "g": 1.0}),
+    "calibrate": (["--epsilon", "3.63"], {"epsilon": 3.63, "target_mean": "abc"}),
+    "stationary": (POISSON3[:-2], {"k1A": 0, "km1": 0, "k2": 1, "km2AV": 3, "V": 1,
+                                   "tail_tol": "abc"}),
+    "extrema": (POISSON3[:-2], {"k1A": 0, "km1": 0, "k2": 1, "km2AV": 3, "V": "abc"}),
+    "evolve": (POISSON3, {"k1A": 0, "km1": 0, "k2": 1, "km2AV": 3, "V": 1,
+                          "t_grid": "1", "n_max": "abc"}),
+    "ssa": (POISSON3[2:], {"k1A": 0, "km1": 0, "k2": 1, "km2AV": 3, "V": 1,
+                           "events": "abc"}),
+    "reproduce": ([], {"case": 3.63}),
+}
+
+
 class TestUsageErrorsExitTwo:
-    def test_config_value_of_wrong_type(self, tmp_path):
+    @pytest.mark.parametrize("mode", sorted(MALFORMED))
+    def test_malformed_input(self, mode, tmp_path):
+        flags, config = MALFORMED[mode]
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epsilon": "abc", "g": 1.0}))
-        proc = run_process(["stat", "--config", str(cfg)])
-        assert proc.returncode == 2
-        assert "ERROR USAGE" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        cfg.write_text(json.dumps(config))
+        for argv in ([mode, *flags], [mode, "--config", str(cfg)]):
+            proc = run_process(argv)
+            assert proc.returncode == 2, argv
+            assert proc.stderr.startswith("ERROR USAGE"), proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_output_in_missing_directory(self, tmp_path):
         out = tmp_path / "missing" / "law.json"
@@ -68,8 +87,10 @@ class TestUsageErrorsExitTwo:
         assert "Traceback" not in proc.stderr
 
 
-def test_negative_seed_is_a_domain_error():
-    proc = run_process(["ssa", *POISSON3, "--seed", "-1", "--events", "10000"])
+@pytest.mark.parametrize("flags", [["--seed", "-1", "--events", "10000"],
+                                   ["--events", "1000000000000"]])
+def test_domain_error_exits_one(flags):
+    proc = run_process(["ssa", *POISSON3, *flags])
     assert proc.returncode == 1
     assert proc.stderr.startswith("ERROR DOMAIN_ERROR")
     assert "Traceback" not in proc.stderr
@@ -110,6 +131,13 @@ class TestStationary:
                           "--km2AV", "0.5", "--V", "1"], capsys)
         assert rc == 1
         assert err.startswith("ERROR NON_NORMALIZABLE:")
+
+    def test_support_too_large_exit_code(self, capsys):
+        # negative binomial with mean ~1e6: normalizable, but past the support cap
+        rc, out, err = run(["stationary", "--k1A", "0.999999", "--km1", "0", "--k2", "1",
+                            "--km2AV", "1", "--V", "1"], capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith("ERROR SUPPORT_TOO_LARGE:")
 
     def test_emitted_distribution_resums_to_one(self, tmp_path, capsys):
         out_file = tmp_path / "d.csv"

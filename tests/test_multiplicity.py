@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from megstat import (
     ReducedStatParams,
@@ -13,7 +14,7 @@ from megstat import (
     multiplicity_distribution,
 )
 from megstat import multiplicity
-from megstat.errors import DegenerateChannel, DomainError, NoChannel, Unreachable
+from megstat.errors import DegenerateChannel, DomainError, MegstatError, NoChannel, Unreachable
 
 # frozen oracle values, computed by 50-digit brute-force summation of the
 # raw phase-space weights (see the high-precision oracle below)
@@ -195,6 +196,34 @@ class TestDeviationScan:
         # oscillation inside each fixed-channel window (see calibration notes)
         deltas = [d for _, d in deviation_scan(G_CALIBRATED, np.arange(3.0, 6.01, 0.5))]
         assert all(b > a for a, b in zip(deltas, deltas[1:]))
+
+
+_EPS = st.floats(0.0, math.log(1e4)).map(math.exp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.floats(-12.0, 12.0).map(math.exp), eps=_EPS)
+def test_law_is_finite_and_normalized_or_a_typed_error(g, eps):
+    try:
+        d = multiplicity_distribution(ReducedStatParams(g, eps))
+    except MegstatError:
+        return
+    assert np.all(np.isfinite(d.probs))
+    assert abs(d.probs.sum() - 1.0) <= 1e-12
+    assert d.support.tolist() == list(range(2, 2 * len(d.support) + 1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(eps=_EPS, fraction=st.floats(-0.2, 1.2))
+def test_calibration_meets_its_target_or_a_typed_error(eps, fraction):
+    # the fractions outside [0, 1] put the target outside the reachable means
+    target = 2.0 + fraction * (2 * math.ceil(eps) - 4.0)
+    try:
+        res = calibrate_coupling(eps, target)
+    except MegstatError:
+        return
+    assert math.isfinite(res.coupling) and res.coupling > 0
+    assert abs(res.achieved_mean - target) <= 1e-6
 
 
 def test_sub_poissonian_everywhere():

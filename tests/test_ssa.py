@@ -127,9 +127,11 @@ class TestStationaryHistogram:
         with pytest.raises(FrozenChain):
             stationary_histogram(kp, seed=1, n_events=20_000)
 
-    def test_validates_event_count(self):
+    @pytest.mark.parametrize("n_events", [100, 10**9 + 1, 10**12])
+    def test_validates_event_count(self, n_events):
+        # past the 10^9 cap the call refuses at once instead of walking for hours
         with pytest.raises(DomainError):
-            stationary_histogram(IMMIGRATION_DEATH, seed=1, n_events=100)
+            stationary_histogram(IMMIGRATION_DEATH, seed=1, n_events=n_events)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
