@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DiscreteDistribution, ExtremaReport, KineticParams
+from .core import _MAX_SUPPORT, DiscreteDistribution, ExtremaReport, KineticParams
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -25,7 +25,6 @@ from .errors import (
     TruncationBreach,
 )
 
-_MAX_SUPPORT = 2_000_000
 _TAIL_TOL = 1e-12                          # the default; find_extrema always scans at it
 _BOUNDARY_TOL = _CONSERVATION_TOL = 1e-9   # transient_evolve's error bounds
 
@@ -56,32 +55,37 @@ def step_ratio(n: int, kp: KineticParams) -> float:
 def _check_linear_law(kp: KineticParams, tail_tol: float) -> None:
     """Reject a k_m1 = 0 law that does not exist or needs too many states, before any scan.
 
-    With k_m1 = 0 the law is negative binomial with r = k_m2*A*V/(k1*A) and
-    rho = k1*A/k2 (Poisson when k1*A = 0).  It exists only for rho < 1.  Every
-    ratio past state m is at least rho_min = rho*min(1, (m+r)/(m+1)), so the
-    mass at m and above is at least P(m)/(1 - rho_min).  When that holds twice
-    tail_tol at m = _MAX_SUPPORT + 2, past every state the scan tests, no tail
-    certificate can hold there and the scan would run out of states.
+    With k_m1 = 0 the law is negative binomial with r = c/(k1*A), c = k_m2*A*V,
+    and rho = k1*A/k2, or Poisson(lam = c/k2) when k1*A = 0.  It exists only
+    for rho < 1.  The scan's cut N needs r(N-1) < 1, so it lies past the mode
+    (c - k2)/(k2 - k1*A).  Past the mode, the mass at m and above is at least
+    P(m), or P(m)/(1 - rho_min) with rho_min = rho*min(1, (m+r)/(m+1)) a bound
+    on every ratio past m.  When that holds twice tail_tol at
+    m = _MAX_SUPPORT + 2, past every state the scan tests, no tail certificate
+    can hold there and the scan would run out of states.
     """
     if kp.k_m1 != 0:
         return
-    k1a = kp.k1 * kp.a
+    k1a, c = kp.k1 * kp.a, kp.k_m2 * kp.a * kp.volume
     if k1a >= kp.k2:
         raise NonNormalizable("step ratio does not decay: k_m1 = 0 and k1*A >= k2")
-    r = kp.k_m2 * kp.a * kp.volume / k1a if k1a > 0 else math.inf
-    # the scan decides alone for the Poisson law, and past r = 1e12, where the
-    # rounding of lgamma(m + r) - lgamma(r) nears the factor 2
-    if r > 1e12:
-        return
-    rho = k1a / kp.k2
-    m = _MAX_SUPPORT + 2
-    log_pm = (math.lgamma(m + r) - math.lgamma(r) - math.lgamma(m + 1)
-              + m * math.log(rho) + r * math.log1p(-rho))
-    rho_min = rho * min(1.0, (m + r) / (m + 1))
-    if log_pm - math.log1p(-rho_min) >= math.log(2 * tail_tol):
-        raise SupportTooLarge(
-            f"the negative-binomial law (r={r:.6g}, rho={rho:.6g}) holds more than "
-            f"{tail_tol:g} past {_MAX_SUPPORT} states")
+    rho, lam, m = k1a / kp.k2, c / kp.k2, _MAX_SUPPORT + 2
+    r = c / k1a if k1a > 0 else math.inf
+    if (c - kp.k2) / (kp.k2 - k1a) > _MAX_SUPPORT + 1:
+        log_tail = math.inf   # the mode itself lies past every cut the scan tests
+    elif r <= 1e12:
+        log_tail = (math.lgamma(m + r) - math.lgamma(r) - math.lgamma(m + 1)
+                    + m * math.log(rho) + r * math.log1p(-rho)
+                    - math.log1p(-rho * min(1.0, (m + r) / (m + 1))))
+    else:
+        # past r = 1e12 the rounding of lgamma(m + r) - lgamma(r) nears the factor
+        # 2, so bound P(m) below by Gamma(m + r)/Gamma(r) >= r^m: exact for Poisson
+        log_tail = (r * math.log1p(-rho) if k1a > 0 else -lam) + m * math.log(lam) \
+            - math.lgamma(m + 1)
+    if log_tail >= math.log(2 * tail_tol):
+        law = (f"negative-binomial law (r={r:.6g}, rho={rho:.6g})" if k1a > 0
+               else f"Poisson law (lam={lam:.6g})")
+        raise SupportTooLarge(f"the {law} holds more than {tail_tol:g} past {_MAX_SUPPORT} states")
 
 
 def stationary_weights_exact(kp: KineticParams, n_max: int) -> list:

@@ -1,12 +1,13 @@
 """Batch command-line front end.
 
 Modes: stat, calibrate, stationary, extrema, evolve, ssa, reproduce.
-Parameters come from flags or a JSON config file (flags win).  Outputs are
-a single self-describing JSON object; stat, calibrate, stationary and ssa
-write CSV instead with ``--format csv`` (``n,probability`` rows plus
-``# key=value`` moment footers, or ``key,value`` rows for calibrate).  Exit
-codes: 0 success, 1 domain error (``ERROR <CODE>: message`` on stderr),
-2 usage/config error.
+argparse reads all input: a JSON config file (``--config``) of flag names
+(dashes or underscores) and values becomes ``--key=value`` flags right after
+the mode, so the command line wins.  Outputs are a single self-describing JSON
+object; stat, calibrate, stationary and ssa write CSV instead with ``--format
+csv`` (``n,probability`` rows plus ``# key=value`` moment footers, or
+``key,value`` rows for calibrate).  Exit codes: 0 success, 1 domain error
+(``ERROR <CODE>: message`` on stderr), 2 usage error (``ERROR USAGE: message``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .core import (
     ReducedStatParams,
     moments,
 )
-from .errors import MegstatError
+from .errors import DomainError, MegstatError
 from . import birthdeath, multiplicity, ssa
 
 KINETIC_FLAGS = ("k1A", "km1", "k2", "km2AV", "V")
@@ -35,11 +36,37 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that refuses abbreviated flags and raises :class:`UsageError`."""
+
+    def __init__(self, **kw):
+        super().__init__(allow_abbrev=False, **kw)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _epsilon(text: str) -> float:
+    try:
+        eps = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if eps <= 1:
+        raise argparse.ArgumentTypeError("epsilon must exceed 1")
+    return eps
+
+
+def _times(text: str) -> list:
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of times") from None
+
+
 def _kinetic_params(args) -> KineticParams:
-    for f in KINETIC_FLAGS:
-        if getattr(args, f) is None:
-            raise UsageError(f"missing required parameter --{f}")
     v = args.V
+    if v == 0:   # before the division below
+        raise DomainError("volume must be finite and strictly positive")
     # flags carry the natural rate groups k1*A and k_m2*A*V; store with A = 1
     return KineticParams(k1=args.k1A, k_m1=args.km1, k2=args.k2,
                          k_m2=args.km2AV / v, a=1.0, volume=v)
@@ -111,20 +138,12 @@ def _emit(args, payload: dict, table=None, footers=None) -> None:
 
 
 def _run_stat(args):
-    if args.epsilon is None or args.g is None:
-        raise UsageError("stat needs --epsilon and --g")
-    if args.epsilon <= 1:
-        raise UsageError("epsilon must exceed 1")
     params = ReducedStatParams(coupling=args.g, energy_ratio=args.epsilon)
     d = multiplicity.multiplicity_distribution(params)
     _emit(args, *_law(d, {"epsilon": args.epsilon, "g": args.g}))
 
 
 def _run_calibrate(args):
-    if args.epsilon is None or args.target_mean is None:
-        raise UsageError("calibrate needs --epsilon and --target-mean")
-    if args.epsilon <= 1:
-        raise UsageError("epsilon must exceed 1")
     res = multiplicity.calibrate_coupling(args.epsilon, args.target_mean)
     payload = {
         "g": res.coupling,
@@ -156,13 +175,7 @@ def _run_extrema(args):
 
 
 def _run_evolve(args):
-    kp = _kinetic_params(args)
-    if not args.t_grid:
-        raise UsageError("evolve needs --t-grid")
-    try:
-        t_grid = [float(t) for t in str(args.t_grid).split(",")]
-    except ValueError:
-        raise UsageError(f"--t-grid {args.t_grid!r} is not a comma-separated list of times") from None
+    kp, t_grid = _kinetic_params(args), args.t_grid
     initial = DiscreteDistribution.from_probs([args.n_init], [1.0])
     dists = birthdeath.transient_evolve(kp, initial, t_grid, n_max=args.n_max)
     snapshots = [{"t": t, "support": d.support, "probs": d.probs, "mean": d.mean()}
@@ -189,9 +202,6 @@ _CALIBRATION_TARGET_MEAN = 4.2
 
 
 def _run_reproduce(args):
-    if args.case not in _CASES:
-        raise UsageError(
-            f"unknown case {args.case!r}; choose from {sorted(_CASES)}")
     case = _CASES[args.case]
     res = multiplicity.calibrate_coupling(_CALIBRATION_EPSILON, _CALIBRATION_TARGET_MEAN)
     eps = case["epsilon"]
@@ -243,42 +253,39 @@ _RUNNERS = {
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process and shared by every call of :func:`main`.
 
-    Each ``parse_args`` returns a fresh namespace, and the config merge only
-    reads the parser, so no state carries from one call to the next.
+    Each ``parse_args`` returns a fresh namespace, so no state carries from
+    one call to the next.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="megstat",
         description="Exciton-multiplicity statistics: statistical-theory law, "
                     "birth-death master equation, and exact stochastic simulation.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="mode")
+    sub = parser.add_subparsers(dest="mode", required=True)
 
     def common(p, csv=True):
-        p.add_argument("--config", help="JSON config file; flags override it")
+        p.add_argument("--config", help="JSON config file of flag values; flags override it")
         p.add_argument("--output", help="output path (default: stdout)")
         if csv:
-            p.add_argument("--format", choices=("csv", "json"), default=None)
+            p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser("stat", help="multiplicity law at given (epsilon, g)")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--g", type=float)
+    p.add_argument("--epsilon", type=_epsilon, required=True)
+    p.add_argument("--g", type=float, required=True)
     common(p)
 
     p = sub.add_parser("calibrate", help="fit g to a target mean multiplicity")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--target-mean", type=float, dest="target_mean")
+    p.add_argument("--epsilon", type=_epsilon, required=True)
+    p.add_argument("--target-mean", type=float, required=True)
     common(p)
 
     def kinetic(p):
-        p.add_argument("--k1A", type=float, dest="k1A")
-        p.add_argument("--km1", type=float, dest="km1")
-        p.add_argument("--k2", type=float, dest="k2")
-        p.add_argument("--km2AV", type=float, dest="km2AV")
-        p.add_argument("--V", type=float, dest="V")
+        for flag in KINETIC_FLAGS:
+            p.add_argument(f"--{flag}", type=float, required=True)
 
     p = sub.add_parser("stationary", help="stationary law of the birth-death chain")
     kinetic(p)
-    p.add_argument("--tail-tol", type=float, dest="tail_tol")
+    p.add_argument("--tail-tol", type=float, default=1e-12)
     common(p)
 
     p = sub.add_parser("extrema", help="extremum/bimodality analysis")
@@ -287,93 +294,63 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="transient probability evolution")
     kinetic(p)
-    p.add_argument("--t-grid", dest="t_grid", help="comma-separated output times")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--n-init", type=int, dest="n_init")
+    p.add_argument("--t-grid", type=_times, required=True, help="comma-separated output times")
+    p.add_argument("--n-max", type=int, default=200)
+    p.add_argument("--n-init", type=int, default=0)
     common(p, csv=False)
 
     p = sub.add_parser("ssa", help="stochastic-simulation stationary histogram")
     kinetic(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--events", type=int,
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--events", type=int, default=1_000_000,
                    help="jump-chain events to walk, in [10^4, 10^9] (default 10^6)")
-    p.add_argument("--burn-in", type=float, dest="burn_in",
+    p.add_argument("--burn-in", type=float, default=0.1,
                    help="share of the events discarded before counting, in [0, 0.5] "
                         "(default 0.1)")
     common(p)
 
     p = sub.add_parser("reproduce", help="pinned reference-case reproduction")
-    p.add_argument("--case", choices=sorted(_CASES))
+    p.add_argument("--case", choices=sorted(_CASES), required=True)
     common(p, csv=False)
 
     return parser
 
 
-def _apply_config(args, parser: argparse.ArgumentParser) -> None:
-    """Fill unset args from the JSON config file; flags always win.
+def _config_flags(argv: list) -> list:
+    """argv with its --config file's entries put in as ``--key=value`` flags right after the mode.
 
-    The accepted keys are the mode's flags (dashes or underscores), save
-    ``--config`` itself.  Each value is parsed as its flag's command-line
-    text would be, with the flag's ``type`` and ``choices``.
+    The file is found by a plain scan of argv, not by a parse, because
+    :func:`main` runs in process once per command.  A ``null`` value is
+    skipped, and a ``mode`` entry must name the mode being run.
     """
-    if not getattr(args, "config", None):
-        return
+    path = None
+    for i, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            path = arg[len("--config="):]
+        elif arg == "--config" and i + 1 < len(argv):
+            path = argv[i + 1]
+    if path is None:
+        return argv
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
+        raise UsageError(f"cannot read config {path!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    modes, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in modes.choices[args.mode]._actions
-               if a.dest not in ("help", "config")}
-    for raw_key, value in cfg.items():
-        key = raw_key.replace("-", "_")
-        if key == "mode":
-            if value != args.mode:
-                raise UsageError(
-                    f"config mode {value!r} conflicts with requested mode {args.mode!r}")
-            continue
-        if key not in actions:
-            raise UsageError(f"unknown config key {raw_key!r} for mode {args.mode!r}")
-        if value is None or getattr(args, key, None) is not None:
-            continue
-        action, text = actions[key], str(value)
-        try:
-            value = action.type(text) if action.type else text
-        except ValueError:
-            raise UsageError(
-                f"config key {raw_key!r}: invalid {action.type.__name__} value {value!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(
-                f"config key {raw_key!r}: {value!r} is not one of {sorted(action.choices)}")
-        setattr(args, key, value)
-
-
-# hard defaults, applied only after the config merge so config values win
-_DEFAULTS = {
-    "format": "json",
-    "tail_tol": 1e-12,
-    "n_max": 200,
-    "n_init": 0,
-    "seed": 0,
-    "events": 1_000_000,
-    "burn_in": 0.1,
-}
+    at = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), 0)   # the mode
+    if cfg.get("mode", argv[at]) != argv[at]:
+        raise UsageError(f"config mode {cfg['mode']!r} conflicts with requested mode {argv[at]!r}")
+    if any(key.replace("-", "_") == "config" for key in cfg):
+        raise UsageError("a config file cannot set --config")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()
+             if key != "mode" and value is not None]
+    return [*argv[:at + 1], *flags, *argv[at + 1:]]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.mode is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        _apply_config(args, parser)
-        for key, val in _DEFAULTS.items():
-            if getattr(args, key, False) is None:
-                setattr(args, key, val)
+        args = build_parser().parse_args(_config_flags(sys.argv[1:] if argv is None else argv))
         rc = _RUNNERS[args.mode](args)
         return 0 if rc is None else rc
     except UsageError as exc:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SupportTooLarge
 
 _NORM_TOL = 1e-12
+_MAX_SUPPORT = 2_000_000   # the most states any law is built on
 
 
 @dataclass(frozen=True)
@@ -199,13 +200,19 @@ def total_variation(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
 
 
 def poisson_distribution(lam: float, tail_tol: float = 1e-15) -> DiscreteDistribution:
-    """Poisson(lam) truncated where the remaining tail mass drops below tail_tol."""
+    """Poisson(lam) truncated where the remaining tail mass drops below tail_tol.
+
+    Raises ``SupportTooLarge`` when the cutoff it starts from passes
+    2,000,000 states (lam above about 1.97e6).
+    """
     if not (lam >= 0 and math.isfinite(lam)):
         raise DomainError("lam must be finite and non-negative")
     if lam == 0:
         return DiscreteDistribution.from_probs([0], [1.0])
     # crude but safe upper cutoff, then trim by the exact tail sum
     n_max = int(lam + 20 * math.sqrt(lam) + 40)
+    if n_max >= _MAX_SUPPORT:
+        raise SupportTooLarge(f"Poisson({lam:g}) needs more than {_MAX_SUPPORT} states")
     n = np.arange(n_max + 1)
     logp = n * math.log(lam) - lam - np.cumsum(np.concatenate([[0.0], np.log(n[1:])]))
     p = np.exp(logp)

@@ -65,8 +65,6 @@ def open_channels(energy_ratio: float) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     # largest even n with n/2 < eps
     n_max = 2 * int(math.ceil(energy_ratio) - 1)
-    if energy_ratio > math.floor(energy_ratio):  # non-integer eps
-        n_max = 2 * int(math.floor(energy_ratio))
     return np.arange(2, n_max + 1, 2, dtype=np.int64)
 
 

@@ -83,8 +83,9 @@ def _cover(kp: KineticParams, table: _Table, n: int, size: int) -> _Table:
     half = max(len(table.up), 2 * size)
     lo = max(n - half, 0)
     states = np.arange(lo, n + half + 1, dtype=float)
-    birth = birth_rate(states, kp)
-    total = birth + death_rate(states, kp)
+    with np.errstate(over="ignore"):   # an overflow raises the typed error below
+        birth = birth_rate(states, kp)
+        total = birth + death_rate(states, kp)
     if not np.isfinite(total).all():
         raise DomainError("the rates overflow a double within the simulated states")
     up = np.ones(len(total))

@@ -23,7 +23,7 @@ from megstat import (
     transient_evolve,
 )
 from megstat import ssa
-from megstat.birthdeath import stationary_weights_exact
+from megstat.birthdeath import _check_linear_law, stationary_weights_exact
 from megstat.errors import (
     DegenerateDenominator,
     DomainError,
@@ -159,6 +159,33 @@ class TestStationaryDistribution:
         assert time.perf_counter() - start < 0.05
         with pytest.raises(SupportTooLarge):
             find_extrema(kp)
+
+    @pytest.mark.parametrize("kp", [
+        # NegBin(r = 2e15, rho = 1e-9), mean ~2e6: past r = 1e12, where the
+        # negative-binomial bound is not evaluated
+        KineticParams(k1=1e-9, k_m1=0, k2=1, k_m2=2e6, a=1, volume=1),
+        # Poisson(2.1e6): its mode lies past every cut the scan tests
+        KineticParams(k1=0, k_m1=0, k2=1, k_m2=2.1e6, a=1, volume=1),
+    ])
+    def test_large_mean_linear_law_is_too_large_up_front(self, kp):
+        start = time.perf_counter()
+        with pytest.raises(SupportTooLarge):
+            stationary_distribution(kp)
+        assert time.perf_counter() - start < 0.01
+
+    def test_poisson_within_the_cap_is_left_to_the_scan(self):
+        # Poisson(1.95e6) fits in 1,959,836 states
+        _check_linear_law(KineticParams(k1=0, k_m1=0, k2=1, k_m2=1.95e6, a=1, volume=1), 1e-12)
+
+    @pytest.mark.parametrize("tail_tol", [0.0, 1e-2, math.nan])
+    def test_rejects_tail_tol_outside_its_range(self, tail_tol):
+        with pytest.raises(DomainError):
+            stationary_distribution(BIMODAL, tail_tol=tail_tol)
+
+    def test_exact_weights_refuse_a_vanishing_death_rate(self):
+        # k2 = 0 gives d(1) = 0 while b(0) = 1
+        with pytest.raises(NonNormalizable):
+            stationary_weights_exact(KineticParams(k1=1, k_m1=1, k2=0, k_m2=1, a=1, volume=1), 5)
 
     def test_scan_out_of_states_is_too_large(self):
         # NegBin(1, 1 - 1.36e-5) holds ~1.5e-12 past 2,000,000 states: under
@@ -384,6 +411,11 @@ class TestTransientEvolve:
         initial = DiscreteDistribution.from_probs([0], [1.0])
         with pytest.raises(DomainError):
             transient_evolve(IMMIGRATION_DEATH, initial, t_grid, n_max=40)
+
+    def test_rejects_initial_law_past_n_max(self):
+        init = DiscreteDistribution.from_probs([50], [1.0])
+        with pytest.raises(DomainError):
+            transient_evolve(IMMIGRATION_DEATH, init, [1.0], n_max=40)
 
     def test_truncation_breach(self):
         init = DiscreteDistribution.from_probs([0], [1.0])

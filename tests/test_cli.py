@@ -10,7 +10,8 @@ from megstat import DiscreteDistribution, KineticParams, calibrate_coupling, tra
 from megstat.cli import _CSV_ROWS, build_parser, main
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 # immigration-death with mean 3, as the CLI's rate-group flags
 POISSON3 = ["--k1A", "0", "--km1", "0", "--k2", "1", "--km2AV", "3", "--V", "1"]
 
@@ -46,9 +47,9 @@ class TestUsage:
         assert "epsilon must exceed 1" in err
 
     def test_unknown_mode(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        rc, _, err = run(["frobnicate"], capsys)
+        assert rc == 2
+        assert err.startswith("ERROR USAGE") and "frobnicate" in err
 
 
 # per mode: its flags with one required parameter left out, and a full
@@ -79,6 +80,24 @@ class TestUsageErrorsExitTwo:
             assert proc.stderr.startswith("ERROR USAGE"), proc.stderr
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [["frobnicate"],
+                                      ["stat", "--epsilon", "3.63", "--g", "1", "--bogus", "1"],
+                                      ["stat", "--eps", "3.63", "--g", "1"]])
+    def test_bad_argv(self, argv):
+        proc = run_process(argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("ERROR USAGE"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_abbreviated_config_key(self, tmp_path):
+        # every key of the mode is there, so the abbreviation is what fails
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TestConfigFile.EVERY_KEY["stat"], "eps": 4.9}))
+        proc = run_process(["stat", "--config", str(cfg)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ERROR USAGE") and "eps" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_output_in_missing_directory(self, tmp_path):
         out = tmp_path / "missing" / "law.json"
         proc = run_process(["stat", "--epsilon", "3.63", "--g", "1", "--output", str(out)])
@@ -88,12 +107,31 @@ class TestUsageErrorsExitTwo:
 
 
 @pytest.mark.parametrize("flags", [["--seed", "-1", "--events", "10000"],
-                                   ["--events", "1000000000000"]])
+                                   ["--events", "1000000000000"],
+                                   [*POISSON3[:-1], "0"]])   # V = 0, which the flags divide by
 def test_domain_error_exits_one(flags):
     proc = run_process(["ssa", *POISSON3, *flags])
     assert proc.returncode == 1
     assert proc.stderr.startswith("ERROR DOMAIN_ERROR")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["stat", "--help"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_readme_cli_block_runs(tmp_path):
+    """Every ``megstat`` line of README's CLI block runs as written."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("megstat ")]
+    assert {argv[0] for argv in lines} == set(TestConfigFile.EVERY_KEY)
+    for i, argv in enumerate(lines):
+        assert main([*argv, "--output", str(tmp_path / f"{i}.out")]) == 0, argv
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -224,8 +262,9 @@ class TestExtrema:
 
 class TestConfigFile:
     def test_config_provides_values(self, tmp_path, capsys):
+        # a mode entry naming the mode run is accepted, and a null value skipped
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"epsilon": 3.63, "g": 132.66}))
+        cfg.write_text(json.dumps({"mode": "stat", "epsilon": 3.63, "g": 132.66, "format": None}))
         rc, out, _ = run(["stat", "--config", str(cfg)], capsys)
         assert rc == 0
         assert json.loads(out)["params"]["epsilon"] == 3.63
@@ -264,14 +303,25 @@ class TestConfigFile:
     @pytest.mark.parametrize("mode", ["extrema", "evolve", "reproduce"])
     def test_json_only_modes_take_no_format(self, mode, tmp_path, capsys):
         keys = self.EVERY_KEY[mode]
-        with pytest.raises(SystemExit) as exc:
-            main([mode, *as_flags(keys), "--format", "json"])
-        assert exc.value.code == 2
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**keys, "format": "json"}))
-        rc, _, err = run([mode, "--config", str(cfg)], capsys)
+        for argv in ([mode, *as_flags(keys), "--format", "json"], [mode, "--config", str(cfg)]):
+            rc, _, err = run(argv, capsys)
+            assert rc == 2
+            assert err.startswith("ERROR USAGE") and "--format" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"mode": "calibrate", "epsilon": 3.63, "g": 1}', "conflicts"),
+        ('{"config": "other.json", "epsilon": 3.63, "g": 1}', "--config"),
+        ("[3.63, 1]", "JSON object"),
+        ('{"epsilon": 3.63,', "cannot read config"),
+    ])
+    def test_rejected_config(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc, _, err = run(["stat", "--config", str(cfg)], capsys)
         assert rc == 2
-        assert "'format'" in err
+        assert err.startswith("ERROR USAGE") and message in err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -301,10 +351,9 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert main(["stationary", "--k1A", "0", "--km1", "0", "--k2", "1", "--km2AV", "3",
                  "--V", "1", "--format", "csv", "--output", str(law)]) == 0
     assert law.read_text().startswith("n,probability\n0,")
-    with pytest.raises(SystemExit) as exc:
-        main(["extrema", "--bogus", "1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # argparse names the missing required flags before the unknown one
+    rc, _, err = run(["extrema", "--bogus", "1"], capsys)
+    assert rc == 2 and err.startswith("ERROR USAGE")
     assert main([*first[:-1], str(tmp_path / "again.json")]) == 0
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "first.json").read_bytes()
     assert build_parser() is build_parser()

@@ -15,7 +15,7 @@ from megstat import (
     reduce_params,
     total_variation,
 )
-from megstat.errors import DomainError
+from megstat.errors import DomainError, SupportTooLarge
 
 # frozen from a 50-digit mpmath evaluation of the coupling formula with
 # m = 0.1 electron masses, gap = 0.8 eV, R = 3.9 nm, CODATA constants
@@ -98,11 +98,28 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             poisson_distribution(lam)
 
+    @pytest.mark.parametrize("lam", [1.98e6, 1e12])
+    def test_poisson_past_the_support_cap(self, lam):
+        # its cutoff lam + 20 sqrt(lam) + 40 passes 2,000,000 states
+        with pytest.raises(SupportTooLarge):
+            poisson_distribution(lam)
+
+    def test_poisson_at_zero_is_a_point_mass(self):
+        d = poisson_distribution(0.0)
+        assert d.support.tolist() == [0] and d.probs.tolist() == [1.0]
+
 
 class TestDiscreteDistribution:
     def test_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             DiscreteDistribution(np.array([0, 1]), np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("support, probs", [([[0, 1]], [[0.5, 0.5]]),   # 2-d
+                                                ([0, 1], [1.0]),            # incongruent
+                                                ([], [])])
+    def test_rejects_bad_shapes(self, support, probs):
+        with pytest.raises(DomainError):
+            DiscreteDistribution.from_probs(support, probs)
 
     def test_rejects_unsorted_support(self):
         with pytest.raises(DomainError):

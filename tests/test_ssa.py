@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,6 +53,18 @@ class TestSimulateTrajectory:
         assert traj.end_time == 10.0
         assert traj.event_times[-1] <= 10.0
 
+    def test_rejects_a_negative_initial_state(self):
+        with pytest.raises(DomainError):
+            simulate_trajectory(IMMIGRATION_DEATH, n_init=-1, seed=1, max_events=10)
+
+    def test_rates_that_overflow_a_double(self):
+        # d(n) = 1e308 n(n-1) is infinite from n = 3 on
+        kp = KineticParams(k1=0, k_m1=1e308, k2=1, k_m2=1, a=1, volume=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                simulate_trajectory(kp, n_init=0, seed=1, max_events=10)
+
     def test_needs_a_stop_condition(self):
         with pytest.raises(DomainError):
             simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=0)
@@ -103,6 +117,8 @@ class TestOccupancy:
         h = occupancy_histogram(traj, t_start=2.0)
         assert h.support.tolist() == [2]
         assert h.probs[0] == 1.0
+        with pytest.raises(DomainError):
+            occupancy_histogram(traj, t_start=4.0)
 
 
 class TestStationaryHistogram:
@@ -126,6 +142,16 @@ class TestStationaryHistogram:
         kp = KineticParams(k1=0, k_m1=0, k2=1, k_m2=0, a=1, volume=1)
         with pytest.raises(FrozenChain):
             stationary_histogram(kp, seed=1, n_events=20_000)
+
+    @pytest.mark.parametrize("burn_in", [-0.1, 0.6, float("nan")])
+    def test_validates_burn_in(self, burn_in):
+        with pytest.raises(DomainError):
+            stationary_histogram(IMMIGRATION_DEATH, seed=1, n_events=10_000,
+                                 burn_in_fraction=burn_in)
+
+    def test_merge_needs_a_replica(self):
+        with pytest.raises(DomainError):
+            merged_histogram(IMMIGRATION_DEATH, base_seed=1, n_replicas=0, n_events=10_000)
 
     @pytest.mark.parametrize("n_events", [100, 10**9 + 1, 10**12])
     def test_validates_event_count(self, n_events):
