@@ -52,8 +52,15 @@ def step_ratio(n: int, kp: KineticParams) -> float:
     return b / d
 
 
-def _check_linear_law(kp: KineticParams, tail_tol: float) -> None:
-    """Reject a k_m1 = 0 law that does not exist or needs too many states, before any scan.
+def _check_support(kp: KineticParams, tail_tol: float) -> None:
+    """Reject a law that does not exist or needs too many states, before any scan.
+
+    With k_m1 > 0, b(n) - d(n+1) is a concave quadratic in n, so r(n) >= 1
+    between the roots of :func:`continuous_extremum_roots`.  The scan's cut N
+    needs r(N-1) < 1 on the ratio's decreasing branch (below the smaller root
+    the ratio still rises), so it lies past the larger root.  When that root
+    passes _MAX_SUPPORT + 2 (the margin absorbs rounding), no cut the scan
+    tests can hold.
 
     With k_m1 = 0 the law is negative binomial with r = c/(k1*A), c = k_m2*A*V,
     and rho = k1*A/k2, or Poisson(lam = c/k2) when k1*A = 0.  It exists only
@@ -64,7 +71,11 @@ def _check_linear_law(kp: KineticParams, tail_tol: float) -> None:
     m = _MAX_SUPPORT + 2, past every state the scan tests, no tail certificate
     can hold there and the scan would run out of states.
     """
-    if kp.k_m1 != 0:
+    if kp.k_m1 > 0:
+        roots = continuous_extremum_roots(kp)
+        if roots and roots[-1] > _MAX_SUPPORT + 2:
+            raise SupportTooLarge(f"the law's upper extremum root {roots[-1]:.6g} "
+                                  f"lies past {_MAX_SUPPORT} states")
         return
     k1a, c = kp.k1 * kp.a, kp.k_m2 * kp.a * kp.volume
     if k1a >= kp.k2:
@@ -123,7 +134,7 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
         raise DomainError("tail_tol must lie in (0, 1e-3]")
     if birth_rate(0, kp) == 0:
         return 0, np.zeros(1), np.zeros(0)
-    _check_linear_law(kp, tail_tol)
+    _check_support(kp, tail_tol)
 
     limit_ratio = kp.k1 * kp.a / kp.k2 if kp.k_m1 == 0 else 0.0
     log_tol = math.log(tail_tol)

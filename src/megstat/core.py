@@ -202,11 +202,13 @@ def total_variation(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
 def poisson_distribution(lam: float, tail_tol: float = 1e-15) -> DiscreteDistribution:
     """Poisson(lam) truncated where the remaining tail mass drops below tail_tol.
 
-    Raises ``SupportTooLarge`` when the cutoff it starts from passes
-    2,000,000 states (lam above about 1.97e6).
+    ``tail_tol`` must lie in (0, 1e-3].  Raises ``SupportTooLarge`` when the
+    cutoff it starts from passes 2,000,000 states (lam above about 1.97e6).
     """
     if not (lam >= 0 and math.isfinite(lam)):
         raise DomainError("lam must be finite and non-negative")
+    if not 0 < tail_tol <= 1e-3:
+        raise DomainError("tail_tol must lie in (0, 1e-3]")
     if lam == 0:
         return DiscreteDistribution.from_probs([0], [1.0])
     # crude but safe upper cutoff, then trim by the exact tail sum
@@ -215,8 +217,9 @@ def poisson_distribution(lam: float, tail_tol: float = 1e-15) -> DiscreteDistrib
         raise SupportTooLarge(f"Poisson({lam:g}) needs more than {_MAX_SUPPORT} states")
     n = np.arange(n_max + 1)
     logp = n * math.log(lam) - lam - np.cumsum(np.concatenate([[0.0], np.log(n[1:])]))
-    p = np.exp(logp)
-    tail = 1.0 - np.cumsum(p)
-    keep = np.searchsorted(tail < tail_tol, True) + 1
+    # the mass at k and above, summed from the far end (1 - cumsum(p) loses it
+    # to rounding); keep 0..k-1 for the first k where it is below tail_tol
+    tail = np.cumsum(np.exp(logp)[::-1])[::-1]
+    keep = np.searchsorted(tail < tail_tol, True)
     n, logp = n[:keep], logp[:keep]
     return DiscreteDistribution.from_log_weights(n, logp)

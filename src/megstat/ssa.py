@@ -33,6 +33,9 @@ _BLOCK = 4096
 # stationary_histogram's cap on n_events, which bounds a call to a minute or two
 # of walking (~86 ns per event on a shared 2-vCPU host)
 _MAX_EVENTS = 10**9
+# simulate_trajectory's cap on the events it stores, which bounds a call's
+# memory: an 8-byte time and an 8-byte state each, ~160 MB at the cap
+_MAX_STORED = 10**7
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,9 @@ def simulate_trajectory(
 
     Event i takes the uniforms 2i (the jump) and 2i+1 (the wait) of the
     stream, so the output does not depend on the block size.  The wait out of
-    state n is -log1p(-u)/total(n).
+    state n is -log1p(-u)/total(n).  At most 10^7 events are stored: a
+    ``max_events`` outside [0, 10^7] is a ``DomainError`` up front, and so is
+    a ``max_time`` that a walk of 10^7 events does not reach.
     """
     if n_init < 0:
         raise DomainError("n_init must be non-negative")
@@ -131,7 +136,9 @@ def simulate_trajectory(
         raise DomainError("max_time must be non-negative")
     if max_events is None and (max_time is None or max_time == math.inf):
         raise DomainError("need a stop condition: max_events or a finite max_time")
-    cap_events = math.inf if max_events is None else int(max_events)
+    if max_events is not None and not 0 <= max_events <= _MAX_STORED:
+        raise DomainError(f"max_events must lie in [0, {_MAX_STORED}], got {max_events!r}")
+    cap_events = _MAX_STORED if max_events is None else int(max_events)
     cap_time = math.inf if max_time is None else float(max_time)
 
     rng = _generator(seed)
@@ -167,6 +174,9 @@ def simulate_trajectory(
             break
         n = n_end
         done += size
+    else:
+        if max_events is None:
+            raise DomainError(f"max_time {max_time!r} is not reached within {_MAX_STORED} events")
     return Trajectory(
         event_times=np.concatenate(times),
         states=np.concatenate(states).astype(np.int64),

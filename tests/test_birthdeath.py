@@ -22,8 +22,9 @@ from megstat import (
     total_variation,
     transient_evolve,
 )
-from megstat import ssa
-from megstat.birthdeath import _check_linear_law, stationary_weights_exact
+from megstat import birthdeath, ssa
+from megstat.birthdeath import _check_support, stationary_weights_exact
+from megstat.core import _MAX_SUPPORT
 from megstat.errors import (
     DegenerateDenominator,
     DomainError,
@@ -42,6 +43,12 @@ DETAILED_BALANCE = KineticParams(k1=1, k_m1=0.5, k2=1, k_m2=2, a=1, volume=1)
 FAST_LIMIT = KineticParams(k1=0.5, k_m1=0, k2=1, k_m2=2, a=1, volume=1)
 # detailed balance at xbar = 2, V = 1000: Poisson(2000), cut in the scan's third chunk
 POISSON_2000 = KineticParams(k1=1, k_m1=0.5, k2=1, k_m2=2, a=1, volume=1000)
+
+
+def upper_root_law(root):
+    """A k_m1 > 0 law whose ratio b(n)/d(n+1) is at least 1 on [0, root]."""
+    # b(n) - d(n+1) = (1 - k_m1 (n + 1)) n: roots 0 and 1/k_m1 - 1
+    return KineticParams(k1=2, k_m1=1 / (root + 1), k2=1, k_m2=1, a=1, volume=1)
 
 
 def certified_cut(kp, tail_tol=1e-12):
@@ -173,9 +180,35 @@ class TestStationaryDistribution:
             stationary_distribution(kp)
         assert time.perf_counter() - start < 0.01
 
+    @pytest.mark.parametrize("kp", [
+        KineticParams(k1=1, k_m1=1e-7, k2=0.5, k_m2=1, a=1, volume=1),   # upper root 5e6
+        upper_root_law(_MAX_SUPPORT + 3),
+    ])
+    def test_upper_root_past_the_cap_is_too_large_up_front(self, kp, monkeypatch):
+        def no_chunk(*args):
+            raise AssertionError("the scan built a chunk")
+
+        monkeypatch.setattr(birthdeath, "death_rate", no_chunk)
+        with pytest.raises(SupportTooLarge, match="upper extremum root"):
+            stationary_distribution(kp)
+        with pytest.raises(SupportTooLarge, match="upper extremum root"):
+            find_extrema(kp)
+
+    def test_upper_root_under_the_margin_is_left_to_the_scan(self, monkeypatch):
+        chunks = []
+
+        def counted(n, kp):
+            chunks.append(len(n))
+            return death_rate(n, kp)
+
+        monkeypatch.setattr(birthdeath, "death_rate", counted)
+        with pytest.raises(SupportTooLarge, match="support exceeded"):
+            stationary_distribution(upper_root_law(_MAX_SUPPORT + 1))
+        assert sum(chunks) > _MAX_SUPPORT
+
     def test_poisson_within_the_cap_is_left_to_the_scan(self):
         # Poisson(1.95e6) fits in 1,959,836 states
-        _check_linear_law(KineticParams(k1=0, k_m1=0, k2=1, k_m2=1.95e6, a=1, volume=1), 1e-12)
+        _check_support(KineticParams(k1=0, k_m1=0, k2=1, k_m2=1.95e6, a=1, volume=1), 1e-12)
 
     @pytest.mark.parametrize("tail_tol", [0.0, 1e-2, math.nan])
     def test_rejects_tail_tol_outside_its_range(self, tail_tol):

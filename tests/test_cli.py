@@ -106,6 +106,48 @@ class TestUsageErrorsExitTwo:
         assert "Traceback" not in proc.stderr
 
 
+class TestOutputFile:
+    """``--output`` is overwritten in place, then trimmed when it is a regular file."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_shorter_law_over_a_longer_file_leaves_only_its_bytes(self, fmt, tmp_path, capsys):
+        out = tmp_path / f"law.{fmt}"
+        flags = ["--k1A", "5", "--km1", "0.3", "--k2", "2", "--km2AV", "0.1", "--format", fmt]
+        assert main(["stationary", *flags, "--V", "100", "--output", str(out)]) == 0
+        longer = out.stat().st_size
+        rc, expected, _ = run(["stationary", *flags, "--V", "1"], capsys)
+        assert rc == 0 and len(expected) < longer
+        assert main(["stationary", *flags, "--V", "1", "--output", str(out)]) == 0
+        assert out.read_text() == expected
+
+    def test_dev_null(self):
+        assert main(["extrema", *POISSON3, "--output", os.devnull]) == 0
+
+    @pytest.mark.parametrize("target", ["directory", "below a file", "read-only file"])
+    def test_unwritable_output_exits_two(self, target, tmp_path):
+        if target == "read-only file" and os.geteuid() == 0:
+            pytest.skip("root may write a read-only file")
+        out = {"directory": tmp_path,
+               "below a file": tmp_path / "file" / "law.json",
+               "read-only file": tmp_path / "file"}[target]
+        (tmp_path / "file").write_text("kept")
+        (tmp_path / "file").chmod(0o444)
+        proc = run_process(["extrema", *POISSON3, "--output", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("ERROR USAGE"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        old = os.umask(0o002)   # a mask that tells 0o666 from 0o644 and 0o600
+        try:
+            with open(tmp_path / "by-open", "w"):
+                pass
+            assert main(["extrema", *POISSON3, "--output", str(tmp_path / "by-cli")]) == 0
+        finally:
+            os.umask(old)
+        assert (tmp_path / "by-cli").stat().st_mode == (tmp_path / "by-open").stat().st_mode
+
+
 @pytest.mark.parametrize("flags", [["--seed", "-1", "--events", "10000"],
                                    ["--events", "1000000000000"],
                                    [*POISSON3[:-1], "0"]])   # V = 0, which the flags divide by

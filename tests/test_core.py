@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -103,6 +104,19 @@ class TestNonFiniteInputs:
         # its cutoff lam + 20 sqrt(lam) + 40 passes 2,000,000 states
         with pytest.raises(SupportTooLarge):
             poisson_distribution(lam)
+
+    @pytest.mark.parametrize("tail_tol", [0.0, -1.0, 2.0, math.nan])
+    def test_poisson_rejects_tail_tol_outside_its_range(self, tail_tol):
+        with pytest.raises(DomainError):
+            poisson_distribution(5.0, tail_tol=tail_tol)
+
+    @pytest.mark.parametrize("lam", [1e4, 1e6])
+    def test_poisson_drops_less_than_tail_tol(self, lam):
+        # P(X >= k) is the regularized lower incomplete gamma function P(k, lam)
+        k = len(poisson_distribution(lam, tail_tol=1e-15).support)
+        assert mpmath.gammainc(k, 0, lam, regularized=True) < 1e-15
+        # and the cut is the first state that meets it
+        assert mpmath.gammainc(k - 1, 0, lam, regularized=True) > 0.9e-15
 
     def test_poisson_at_zero_is_a_point_mass(self):
         d = poisson_distribution(0.0)

@@ -84,6 +84,21 @@ class TestSimulateTrajectory:
         path = np.concatenate([[traj.initial_state], traj.states])
         assert np.all(np.abs(np.diff(path)) == 1)
 
+    @pytest.mark.parametrize("max_events", [ssa._MAX_STORED + 1, -5, float("nan")])
+    def test_max_events_outside_the_store_cap_is_refused_up_front(self, max_events):
+        with pytest.raises(DomainError, match="max_events"):
+            simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=0, max_events=max_events)
+
+    def test_max_time_walk_stops_at_the_store_cap(self, monkeypatch):
+        monkeypatch.setattr(ssa, "_MAX_STORED", 10_000)
+        # about 6 events per unit time at stationarity
+        with pytest.raises(DomainError, match="not reached"):
+            simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=0, max_time=1e5)
+        assert simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=0,
+                                   max_time=100.0).end_time == 100.0
+        assert len(simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=0,
+                                       max_events=10_000).states) == 10_000
+
     @pytest.mark.parametrize("max_time", [float("nan"), float("inf"), -1.0])
     def test_rejects_a_max_time_that_never_stops(self, max_time):
         # alone, a NaN or infinite max_time would never end the event loop
