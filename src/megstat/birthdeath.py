@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _MAX_SUPPORT, DiscreteDistribution, ExtremaReport, KineticParams
+from .core import _MAX_SUPPORT, DiscreteDistribution, ExtremaReport, KineticParams, _integer
 from .errors import (
     DegenerateDenominator,
     DomainError,
@@ -310,7 +310,7 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     if not all(0 <= t < math.inf for t in t_grid) or any(
             t2 <= t1 for t1, t2 in zip(t_grid, t_grid[1:])):
         raise DomainError("t_grid must be finite, non-negative and strictly increasing")
-    if initial.support[-1] > n_max:
+    if initial.support[-1] > _integer("n_max", n_max):
         raise DomainError("initial distribution extends past n_max")
 
     states = np.arange(n_max + 1)

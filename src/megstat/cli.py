@@ -74,23 +74,11 @@ def _kinetic_params(args) -> KineticParams:
                          k_m2=args.km2AV / v, a=1.0, volume=v)
 
 
-def _provenance(seed=None):
-    prov = {"tool": "megstat", "version": __version__, "rng": ssa.RNG_NAME}
-    if seed is not None:
-        prov["seed"] = seed
-    return prov
-
-
 def _moment_dict(d: DiscreteDistribution) -> dict:
-    m = moments(d)
-    return {
-        "mean": m.mean,
-        "second_moment": m.second_moment,
-        "variance": m.variance,
-        "fano_factor": None if np.isnan(m.fano_factor) else m.fano_factor,
-        "poisson_deviation": m.poisson_deviation,
-        "exciton_yield": m.exciton_yield,
-    }
+    moms = dict(vars(moments(d)))
+    if np.isnan(moms["fano_factor"]):
+        moms["fano_factor"] = None   # the mean is 0; JSON has no NaN
+    return moms
 
 
 def _law(d: DiscreteDistribution, params: dict) -> tuple:
@@ -134,7 +122,10 @@ def _emit(args, payload: dict, table=None, footers=None) -> None:
 
         text = pieces()
     else:
-        payload = {**payload, "provenance": _provenance(getattr(args, "seed", None))}
+        prov = {"tool": "megstat", "version": __version__, "rng": ssa.RNG_NAME}
+        if getattr(args, "seed", None) is not None:
+            prov["seed"] = args.seed
+        payload = {**payload, "provenance": prov}
         # arrays become lists only here, so a CSV run never builds them
         text = (json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n",)
     if not args.output:
@@ -251,17 +242,6 @@ def _run_reproduce(args):
     return 0 if payload["passed"] else 1
 
 
-_RUNNERS = {
-    "stat": _run_stat,
-    "calibrate": _run_calibrate,
-    "stationary": _run_stationary,
-    "extrema": _run_extrema,
-    "evolve": _run_evolve,
-    "ssa": _run_ssa,
-    "reproduce": _run_reproduce,
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process and shared by every call of :func:`main`.
@@ -276,21 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def common(p, csv=True):
+    def common(p, run, csv=True):
         p.add_argument("--config", help="JSON config file of flag values; flags override it")
         p.add_argument("--output", help="output path (default: stdout)")
         if csv:
             p.add_argument("--format", choices=("csv", "json"), default="json")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("stat", help="multiplicity law at given (epsilon, g)")
     p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--g", type=float, required=True)
-    common(p)
+    common(p, _run_stat)
 
     p = sub.add_parser("calibrate", help="fit g to a target mean multiplicity")
     p.add_argument("--epsilon", type=_epsilon, required=True)
     p.add_argument("--target-mean", type=float, required=True)
-    common(p)
+    common(p, _run_calibrate)
 
     def kinetic(p):
         for flag in KINETIC_FLAGS:
@@ -299,18 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationary", help="stationary law of the birth-death chain")
     kinetic(p)
     p.add_argument("--tail-tol", type=float, default=1e-12)
-    common(p)
+    common(p, _run_stationary)
 
     p = sub.add_parser("extrema", help="extremum/bimodality analysis")
     kinetic(p)
-    common(p, csv=False)
+    common(p, _run_extrema, csv=False)
 
     p = sub.add_parser("evolve", help="transient probability evolution")
     kinetic(p)
     p.add_argument("--t-grid", type=_times, required=True, help="comma-separated output times")
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--n-init", type=int, default=0)
-    common(p, csv=False)
+    common(p, _run_evolve, csv=False)
 
     p = sub.add_parser("ssa", help="stochastic-simulation stationary histogram")
     kinetic(p)
@@ -320,11 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=float, default=0.1,
                    help="share of the events discarded before counting, in [0, 0.5] "
                         "(default 0.1)")
-    common(p)
+    common(p, _run_ssa)
 
     p = sub.add_parser("reproduce", help="pinned reference-case reproduction")
     p.add_argument("--case", choices=sorted(_CASES), required=True)
-    common(p, csv=False)
+    common(p, _run_reproduce, csv=False)
 
     return parser
 
@@ -364,7 +345,7 @@ def _config_flags(argv: list) -> list:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_config_flags(sys.argv[1:] if argv is None else argv))
-        rc = _RUNNERS[args.mode](args)
+        rc = args.run(args)
         return 0 if rc is None else rc
     except UsageError as exc:
         print(f"ERROR USAGE: {exc}", file=sys.stderr)

@@ -19,6 +19,13 @@ _NORM_TOL = 1e-12
 _MAX_SUPPORT = 2_000_000   # the most states any law is built on
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a ``DomainError`` unless it is an int or a numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dimensional quantum-dot and photon inputs (any consistent unit system)."""

@@ -109,11 +109,15 @@ class TestRates:
 
     @pytest.mark.parametrize("volume", [0.5, 0.3])
     def test_ssa_total_rate_is_birth_plus_death(self, volume):
-        # at V = 0.3, k_m1/V*n*(n-1) and k_m1*n*(n-1)/V round differently
+        # at V = 0.3, k_m1/V*n*(n-1) and k_m1*n*(n-1)/V round differently.  A
+        # one-event walk from n waits -log1p(-u)/total(n), where u is the
+        # stream's second uniform, so the waits show the rates it used
         kp = KineticParams(k1=0.7, k_m1=1.3, k2=0.9, k_m2=2, a=1.1, volume=volume)
-        table = ssa._cover(kp, ssa._EMPTY, 40, 30)
-        n = np.arange(table.lo, table.lo + len(table.total))
-        assert table.total.tolist() == (birth_rate(n, kp) + death_rate(n, kp)).tolist()
+        n = np.arange(70)
+        u = np.random.Generator(np.random.PCG64(7)).random(2)
+        waits = [ssa.simulate_trajectory(kp, n_init=int(k), seed=7, max_events=1).event_times[0]
+                 for k in n]
+        assert waits == (-np.log1p(-u[1]) / (birth_rate(n, kp) + death_rate(n, kp))).tolist()
 
     def test_birth_substitution(self):
         kp = KineticParams(k1=0.5, k_m1=0, k2=0, k_m2=2, a=1, volume=1)
@@ -454,6 +458,12 @@ class TestTransientEvolve:
         init = DiscreteDistribution.from_probs([0], [1.0])
         with pytest.raises(TruncationBreach):
             transient_evolve(IMMIGRATION_DEATH, init, [5.0], n_max=5)
+
+    @pytest.mark.parametrize("n_max", [10.5, 40.0, math.nan, "40", None])
+    def test_n_max_must_be_an_integer(self, n_max):
+        init = DiscreteDistribution.from_probs([0], [1.0])
+        with pytest.raises(DomainError, match="n_max"):
+            transient_evolve(IMMIGRATION_DEATH, init, [1.0], n_max=n_max)
 
 
 _LOG_RATE = st.floats(-6.0, 6.0).map(math.exp)

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from megstat import (
     stationary_histogram,
     total_variation,
 )
+from megstat.birthdeath import birth_rate, death_rate
 from megstat.errors import DomainError, FrozenChain, MegstatError
 
 IMMIGRATION_DEATH = KineticParams(k1=0, k_m1=0, k2=1, k_m2=3, a=1, volume=1)
@@ -65,6 +67,16 @@ class TestSimulateTrajectory:
             with pytest.raises(DomainError, match="overflow"):
                 simulate_trajectory(kp, n_init=0, seed=1, max_events=10)
 
+    def test_event_times_that_overflow_a_double(self):
+        # the waits out of a state with the smallest subnormal rate pass every double
+        kp = KineticParams(k1=0, k_m1=0, k2=0, k_m2=5e-324, a=1, volume=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                simulate_trajectory(kp, n_init=0, seed=1, max_events=5)
+            traj = simulate_trajectory(kp, n_init=0, seed=1, max_time=5.0)
+        assert len(traj.states) == 0 and traj.end_time == 5.0 and not traj.frozen
+
     def test_needs_a_stop_condition(self):
         with pytest.raises(DomainError):
             simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=0)
@@ -75,19 +87,36 @@ class TestSimulateTrajectory:
         h = occupancy_histogram(traj, t_start=0.1 * traj.end_time)
         assert total_variation(h, poisson_distribution(3.0)) < 0.05
 
-    def test_high_start_tabulates_a_window(self):
+    def test_high_start_tabulates_a_window(self, monkeypatch):
         # the rate table spans the states a block can reach, not 0..n_init
-        table = ssa._cover(BIMODAL, ssa._EMPTY, 10**6, 50)
-        assert table.lo == 10**6 - 100
-        assert len(table.up) == 201
+        seen = []
+        monkeypatch.setattr(ssa, "birth_rate", lambda n, kp: seen.append(n) or birth_rate(n, kp))
         traj = simulate_trajectory(BIMODAL, n_init=10**6, seed=2, max_events=50)
+        window = np.arange(10**6 - 100, 10**6 + 101)
+        assert any(np.array_equal(n, window) for n in seen)
+        assert all(np.min(n) >= window[0] and np.max(n) <= window[-1] for n in seen)
         path = np.concatenate([[traj.initial_state], traj.states])
         assert np.all(np.abs(np.diff(path)) == 1)
 
-    @pytest.mark.parametrize("max_events", [ssa._MAX_STORED + 1, -5, float("nan")])
+    @pytest.mark.parametrize("max_events", [ssa._MAX_STORED + 1, -5, float("nan"), 2.5, 10.0])
     def test_max_events_outside_the_store_cap_is_refused_up_front(self, max_events):
         with pytest.raises(DomainError, match="max_events"):
             simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=0, max_events=max_events)
+
+    def test_a_bad_seed_raises_at_the_call_of_an_empty_walk(self):
+        with pytest.raises(DomainError, match="seed"):
+            simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=-1, max_events=0)
+
+    @pytest.mark.parametrize("n_init", [2.5, 3.0, float("nan"), "3", None])
+    def test_n_init_must_be_an_integer(self, n_init):
+        with pytest.raises(DomainError, match="n_init"):
+            simulate_trajectory(IMMIGRATION_DEATH, n_init=n_init, seed=0, max_events=10)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        a = simulate_trajectory(BIMODAL, n_init=np.uint64(4), seed=9, max_events=np.int32(300))
+        b = simulate_trajectory(BIMODAL, n_init=4, seed=9, max_events=300)
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.event_times, b.event_times)
 
     def test_max_time_walk_stops_at_the_store_cap(self, monkeypatch):
         monkeypatch.setattr(ssa, "_MAX_STORED", 10_000)
@@ -168,6 +197,17 @@ class TestStationaryHistogram:
         with pytest.raises(DomainError):
             merged_histogram(IMMIGRATION_DEATH, base_seed=1, n_replicas=0, n_events=10_000)
 
+    @pytest.mark.parametrize("n_replicas", [1.5, 2.0, float("nan"), None])
+    def test_merge_replica_count_must_be_an_integer(self, n_replicas):
+        with pytest.raises(DomainError, match="n_replicas"):
+            merged_histogram(IMMIGRATION_DEATH, base_seed=1, n_replicas=n_replicas,
+                             n_events=10_000)
+
+    @pytest.mark.parametrize("n_events", [10_000.7, 20_000.0, float("nan"), "20000"])
+    def test_event_count_must_be_an_integer(self, n_events):
+        with pytest.raises(DomainError, match="n_events"):
+            stationary_histogram(IMMIGRATION_DEATH, seed=1, n_events=n_events)
+
     @pytest.mark.parametrize("n_events", [100, 10**9 + 1, 10**12])
     def test_validates_event_count(self, n_events):
         # past the 10^9 cap the call refuses at once instead of walking for hours
@@ -227,6 +267,34 @@ def test_histogram_is_a_law_or_a_typed_error(k1, k_m1, k2, k_m2, volume, seed, n
     assert np.all(np.isfinite(h.probs))
     assert abs(h.probs.sum() - 1.0) < 1e-12
     assert 0 <= h.support[0] and h.support[-1] <= n_events
+
+
+@settings(max_examples=100, deadline=None)
+@given(k1=_RATE, k_m1=_RATE, k2=_RATE, k_m2=_RATE,
+       volume=st.floats(min_value=1e-2, max_value=1e2),
+       seed=st.integers(0, 2**32 - 1), n_init=st.integers(0, 50),
+       stop=st.one_of(st.tuples(st.integers(0, 5000), st.none()),
+                      st.tuples(st.none(), st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e))))
+def test_trajectory_is_a_jump_path_or_a_typed_error(k1, k_m1, k2, k_m2, volume, seed, n_init,
+                                                    stop):
+    kp = KineticParams(k1=k1, k_m1=k_m1, k2=k2, k_m2=k_m2, a=1, volume=volume)
+    max_events, max_time = stop
+    try:
+        # a max_time walk stores at most 5000 events here, as a max_events walk does
+        with mock.patch.object(ssa, "_MAX_STORED", 5000):
+            traj = simulate_trajectory(kp, n_init=n_init, seed=seed, max_events=max_events,
+                                       max_time=max_time)
+    except MegstatError:
+        return
+    path = np.concatenate([[n_init], traj.states])
+    assert np.all(np.abs(np.diff(path)) == 1) and path.min() >= 0
+    assert len(traj.states) == len(traj.event_times) <= (5000 if max_events is None else max_events)
+    times = np.concatenate([[0.0], traj.event_times, [traj.end_time]])
+    assert np.all(np.diff(times) >= 0)
+    if max_time is not None:
+        assert traj.end_time <= max_time
+    last = int(path[-1])
+    assert not traj.frozen or birth_rate(last, kp) + death_rate(last, kp) == 0
 
 
 def test_merged_replicas_deterministic():
