@@ -39,7 +39,6 @@ from .birthdeath import (
 )
 from .ssa import (
     Trajectory,
-    merged_histogram,
     occupancy_histogram,
     simulate_trajectory,
     stationary_histogram,
@@ -53,6 +52,5 @@ __all__ = [
     "log_stat_weight", "multiplicity_distribution",
     "birth_rate", "death_rate", "detailed_balance_gap", "fast_meg_limit_root",
     "find_extrema", "stationary_distribution", "step_ratio", "transient_evolve",
-    "Trajectory", "merged_histogram", "occupancy_histogram",
-    "simulate_trajectory", "stationary_histogram",
+    "Trajectory", "occupancy_histogram", "simulate_trajectory", "stationary_histogram",
 ]

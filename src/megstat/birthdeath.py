@@ -52,8 +52,10 @@ def step_ratio(n: int, kp: KineticParams) -> float:
     return b / d
 
 
-def _check_support(kp: KineticParams, tail_tol: float) -> None:
-    """Reject a law that does not exist or needs too many states, before any scan.
+def _check_support(kp: KineticParams, tail_tol: float) -> bool:
+    """True for the frozen chain (b(0) = 0), whose law is the point mass at 0; raises for
+    a law that does not exist or needs too many states.  Both stationary routes pass
+    this gate before any scan or walk.
 
     With k_m1 > 0, b(n) - d(n+1) is a concave quadratic in n, so r(n) >= 1
     between the roots of :func:`continuous_extremum_roots`.  The scan's cut N
@@ -71,12 +73,16 @@ def _check_support(kp: KineticParams, tail_tol: float) -> None:
     m = _MAX_SUPPORT + 2, past every state the scan tests, no tail certificate
     can hold there and the scan would run out of states.
     """
+    if not 0 < tail_tol <= 1e-3:
+        raise DomainError("tail_tol must lie in (0, 1e-3]")
+    if birth_rate(0, kp) == 0:
+        return True
     if kp.k_m1 > 0:
         roots = continuous_extremum_roots(kp)
         if roots and roots[-1] > _MAX_SUPPORT + 2:
             raise SupportTooLarge(f"the law's upper extremum root {roots[-1]:.6g} "
                                   f"lies past {_MAX_SUPPORT} states")
-        return
+        return False
     k1a, c = kp.k1 * kp.a, kp.k_m2 * kp.a * kp.volume
     if k1a >= kp.k2:
         raise NonNormalizable("step ratio does not decay: k_m1 = 0 and k1*A >= k2")
@@ -97,6 +103,7 @@ def _check_support(kp: KineticParams, tail_tol: float) -> None:
         law = (f"negative-binomial law (r={r:.6g}, rho={rho:.6g})" if k1a > 0
                else f"Poisson law (lam={lam:.6g})")
         raise SupportTooLarge(f"the {law} holds more than {tail_tol:g} past {_MAX_SUPPORT} states")
+    return False
 
 
 def stationary_weights_exact(kp: KineticParams, n_max: int) -> list:
@@ -121,7 +128,7 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
 
     Returns ``(lo, logw, ratios)`` with logw[0] = 0.  The chain lives on n >= 1
     (lo = 1) when d(1) = k2 = 0 < b(0): state 0 is then left at once and never
-    re-entered.  The empty chain (b(0) = 0) is frozen at state 0.
+    re-entered.  Only the frozen chain (b(0) = 0) has the single state 0.
 
     The product runs in doubling chunks of array arithmetic.  N is the first
     state past lo where r(N-1) < 1, the ratio is on its decreasing branch
@@ -130,11 +137,8 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
     P(N) * rho/(1-rho) < tail_tol, with rho an upper bound on every later
     ratio, certifies the dropped mass.
     """
-    if not 0 < tail_tol <= 1e-3:
-        raise DomainError("tail_tol must lie in (0, 1e-3]")
-    if birth_rate(0, kp) == 0:
+    if _check_support(kp, tail_tol):
         return 0, np.zeros(1), np.zeros(0)
-    _check_support(kp, tail_tol)
 
     limit_ratio = kp.k1 * kp.a / kp.k2 if kp.k_m1 == 0 else 0.0
     log_tol = math.log(tail_tol)
@@ -179,12 +183,13 @@ def stationary_distribution(kp: KineticParams, tail_tol: float = _TAIL_TOL) -> D
     Support extends past the last local maximum until the step ratio is
     below 1 and decreasing, and the bound  P(N) * rho/(1-rho) < tail_tol
     (rho an upper bound on all later ratios) certifies the dropped mass.
-    With k2 = 0 the support starts at 1, because state 0 is transient.  A law
-    whose certified support passes 2,000,000 states raises ``SupportTooLarge``.
+    With k2 = 0 the support starts at 1, because state 0 is transient; the
+    frozen chain (b(0) = 0) gives the point mass at 0, flagged ``degenerate``.
+    A law whose certified support passes 2,000,000 states raises ``SupportTooLarge``.
     """
     lo, logw, _ = _stationary_scan(kp, tail_tol)
     return DiscreteDistribution.from_log_weights(
-        np.arange(lo, lo + len(logw)), logw, degenerate=birth_rate(0, kp) == 0)
+        np.arange(lo, lo + len(logw)), logw, degenerate=len(logw) == 1)
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> tuple:

@@ -67,7 +67,7 @@ def _times(text: str) -> list:
 
 def _kinetic_params(args) -> KineticParams:
     v = args.V
-    if v == 0:   # before the division below
+    if not 0 < v < np.inf:   # before the division below, which would blame k_m2
         raise DomainError("volume must be finite and strictly positive")
     # flags carry the natural rate groups k1*A and k_m2*A*V; store with A = 1
     return KineticParams(k1=args.k1A, k_m1=args.km1, k2=args.k2,

@@ -69,9 +69,3 @@ class StepFailure(MegstatError):
     """Time integration lost probability beyond the conservation tolerance."""
 
     code = "STEP_FAILURE"
-
-
-class FrozenChain(MegstatError):
-    """Stochastic trajectory froze (zero total propensity) too early."""
-
-    code = "FROZEN_CHAIN"

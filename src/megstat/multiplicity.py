@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteDistribution, ReducedStatParams, moments, normalize_log_weights
-from .errors import DegenerateChannel, DomainError, NoChannel, Unreachable
+from .core import (_MAX_SUPPORT, DiscreteDistribution, ReducedStatParams, moments,
+                   normalize_log_weights)
+from .errors import DegenerateChannel, DomainError, NoChannel, SupportTooLarge, Unreachable
 
 __all__ = [
     "log_stat_weight",
@@ -58,14 +59,15 @@ def _lgamma(k: np.ndarray) -> np.ndarray:
 
 
 def open_channels(energy_ratio: float) -> np.ndarray:
-    """Even n >= 2 with residual energy eps - n/2 strictly positive."""
+    """Even n >= 2 with eps - n/2 > 0; more than 2,000,000 raise ``SupportTooLarge``."""
     if not math.isfinite(energy_ratio):
         raise DomainError(f"energy_ratio must be finite, got {energy_ratio}")
     if energy_ratio <= 1:
         return np.empty(0, dtype=np.int64)
-    # largest even n with n/2 < eps
-    n_max = 2 * int(math.ceil(energy_ratio) - 1)
-    return np.arange(2, n_max + 1, 2, dtype=np.int64)
+    count = math.ceil(energy_ratio) - 1   # largest n with n/2 < eps, halved
+    if count > _MAX_SUPPORT:
+        raise SupportTooLarge(f"energy_ratio {energy_ratio!r} opens over {_MAX_SUPPORT} channels")
+    return np.arange(2, 2 * count + 1, 2, dtype=np.int64)
 
 
 def _channel_terms(support: np.ndarray, energy_ratio: float) -> np.ndarray:
@@ -82,6 +84,8 @@ def log_stat_weight(n: int, params: ReducedStatParams) -> float:
     if residual <= 0:
         raise DomainError(
             f"channel n={n} closed: residual energy {residual} not positive")
+    if n // 2 > _MAX_SUPPORT:
+        raise SupportTooLarge(f"channel n={n} lies past {_MAX_SUPPORT} channels")
     c = _channel_terms(np.array([n], dtype=np.int64), params.energy_ratio)
     return n * math.log(params.coupling) + float(c[0])
 

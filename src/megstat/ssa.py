@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .birthdeath import birth_rate, death_rate
+from .birthdeath import _TAIL_TOL, _check_support, birth_rate, death_rate
 from .core import DiscreteDistribution, KineticParams, _integer
-from .errors import DomainError, FrozenChain
+from .errors import DomainError
 
 RNG_NAME = "numpy.random.PCG64"
 
@@ -201,13 +201,17 @@ def stationary_histogram(
     weighted by its expected dwell time 1/total(n): no waiting times are
     drawn, one uniform per event drives the walk, and the estimate has lower
     variance than the time-weighted occupancy of one trajectory.
+
+    The chain first passes ``stationary_distribution``'s gate, before any walk:
+    the frozen chain (b(0) = 0) gives its degenerate point mass at 0, and a
+    chain with no law or too large a one raises as there.
     """
     if not 10_000 <= _integer("n_events", n_events) <= _MAX_EVENTS:
         raise DomainError(f"n_events must lie in [10^4, 10^9], got {n_events!r}")
     if not 0.0 <= burn_in_fraction <= 0.5:
         raise DomainError("burn_in_fraction must lie in [0, 0.5]")
-    if birth_rate(0, kp) == 0:
-        raise FrozenChain("the chain is frozen at the empty state: its birth rate there is 0")
+    if _check_support(kp, _TAIL_TOL):
+        return DiscreteDistribution.from_probs([0], [1.0], degenerate=True)
     skip = int(burn_in_fraction * n_events)   # the burn-in events not yet walked
 
     counts = np.zeros(0, dtype=np.int64)
@@ -222,26 +226,3 @@ def stationary_histogram(
     # dwell times relative to the longest one, which stay finite for tiny rates
     weights = counts[support] * (rate.min() / rate)
     return DiscreteDistribution.from_probs(support, weights / weights.sum())
-
-
-def merged_histogram(
-    kp: KineticParams,
-    base_seed: int,
-    n_replicas: int,
-    n_events: int,
-    burn_in_fraction: float = 0.1,
-) -> DiscreteDistribution:
-    """Average of independent replica histograms; replica r uses base_seed + r.
-
-    Per-replica weights are fixed (1/n_replicas), so the merge is
-    order-independent and deterministic given (base_seed, n_replicas).
-    """
-    if _integer("n_replicas", n_replicas) < 1:
-        raise DomainError("need at least one replica")
-    hists = [stationary_histogram(kp, seed=base_seed + r, n_events=n_events,
-                                  burn_in_fraction=burn_in_fraction)
-             for r in range(n_replicas)]
-    acc = np.bincount(np.concatenate([h.support for h in hists]),
-                      weights=np.concatenate([h.probs for h in hists]) / n_replicas)
-    support = np.flatnonzero(acc)
-    return DiscreteDistribution.from_probs(support, acc[support] / acc[support].sum())

@@ -502,6 +502,29 @@ def test_law_and_extrema_are_finite_or_a_typed_error(kp):
     assert d.probs[np.subtract(rep.integer_maxima, lo)].max() >= d.probs.max() * (1 - 1e-9)
 
 
+@settings(max_examples=30, deadline=None)
+@given(rates=st.lists(st.one_of(st.just(0.0), _LOG_RATE), min_size=4, max_size=4),
+       volume=st.floats(-2.0, 4.0).map(math.exp), n_max=st.integers(0, 12),
+       n_init=st.integers(0, 12), reach=st.floats(0.0, 200.0),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_transient_laws_are_normalized_or_a_typed_error(rates, volume, n_max, n_init, reach,
+                                                        fractions):
+    # t_end * max_rate <= 200 keeps the integration to at most ~2000 steps
+    kp = KineticParams(*rates, a=1, volume=volume)
+    states = np.arange(n_max + 1)
+    max_rate = float(np.max(birth_rate(states, kp) + death_rate(states, kp)))
+    t_grid = sorted({f * reach / (max_rate if max_rate > 0 else 1.0) for f in fractions})
+    init = DiscreteDistribution.from_probs([min(n_init, n_max)], [1.0])
+    try:
+        laws = transient_evolve(kp, init, t_grid, n_max=n_max)
+    except MegstatError:
+        return
+    assert len(laws) == len(t_grid)
+    for d in laws:
+        assert d.support.tolist() == states.tolist()
+        assert np.all(np.isfinite(d.probs)) and abs(d.probs.sum() - 1.0) <= 1e-12
+
+
 def test_incompatible_rates_break_poisson_criterion():
     rng = np.random.default_rng(11)
     found = 0

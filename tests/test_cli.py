@@ -219,6 +219,25 @@ class TestStationary:
         assert rc == 1 and out == ""
         assert err.startswith("ERROR SUPPORT_TOO_LARGE:")
 
+    @pytest.mark.parametrize("volume", ["0", "-1", "nan", "inf"])
+    def test_bad_volume_is_blamed_on_the_volume(self, volume, capsys):
+        rc, out, err = run(["stationary", *POISSON3[:-2], f"--V={volume}"], capsys)
+        assert rc == 1 and out == ""
+        assert err == "ERROR DOMAIN_ERROR: volume must be finite and strictly positive\n"
+
+    def test_ssa_refuses_what_stationary_refuses(self, capsys):
+        flags = ["--k1A", "2", "--km1", "0", "--k2", "1", "--km2AV", "1", "--V", "1"]
+        for mode in ("stationary", "ssa"):
+            rc, out, err = run([mode, *flags], capsys)
+            assert rc == 1 and out == ""
+            assert err.startswith("ERROR NON_NORMALIZABLE:")
+
+    def test_frozen_chain_is_one_point_mass_in_both_modes(self, capsys):
+        flags = [*POISSON3[:-4], "--km2AV", "0", "--V", "1", "--format", "csv"]
+        outs = [run([mode, *flags], capsys) for mode in ("stationary", "ssa")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and outs[0][1].startswith("n,probability\n0,1.0\n")
+
     def test_emitted_distribution_resums_to_one(self, tmp_path, capsys):
         out_file = tmp_path / "d.csv"
         rc, _, _ = run(["stationary", "--k1A", "0", "--km1", "0", "--k2", "1",
@@ -248,6 +267,15 @@ class TestStationary:
         rc, _, err = run(["stationary", "--k1A", "1"], capsys)
         assert rc == 2
         assert "km1" in err
+
+
+@pytest.mark.parametrize("argv", [["stat", "--epsilon", "1e300", "--g", "1"],
+                                  ["stat", "--epsilon", "1e18", "--g", "1"],
+                                  ["calibrate", "--epsilon", "1e300", "--target-mean", "5"]])
+def test_too_many_channels_exit_one(argv, capsys):
+    rc, out, err = run(argv, capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("ERROR SUPPORT_TOO_LARGE:")
 
 
 class TestCalibrate:

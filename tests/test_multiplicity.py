@@ -14,7 +14,8 @@ from megstat import (
     multiplicity_distribution,
 )
 from megstat import multiplicity
-from megstat.errors import DegenerateChannel, DomainError, MegstatError, NoChannel, Unreachable
+from megstat.errors import (DegenerateChannel, DomainError, MegstatError, NoChannel,
+                            SupportTooLarge, Unreachable)
 
 # frozen oracle values, computed by 50-digit brute-force summation of the
 # raw phase-space weights (see the high-precision oracle below)
@@ -107,6 +108,19 @@ class TestMultiplicityDistribution:
         first = multiplicity_distribution(params).probs.tobytes()
         multiplicity_distribution(ReducedStatParams(40.0, 1350.0))   # grows the table
         assert multiplicity_distribution(params).probs.tobytes() == first
+
+    def test_channel_cap_refuses_before_the_table_grows(self, monkeypatch):
+        monkeypatch.setattr(multiplicity, "_MAX_SUPPORT", 10)
+        monkeypatch.setattr(multiplicity, "_LGAMMA", np.array([math.inf]))
+        assert len(multiplicity.open_channels(11.0)) == 10   # at the cap
+        for refused in (lambda: multiplicity.open_channels(11.5),
+                        lambda: multiplicity_distribution(ReducedStatParams(1.0, 11.5)),
+                        lambda: calibrate_coupling(11.5, 5.0),
+                        lambda: log_stat_weight(22, ReducedStatParams(1.0, 100.0))):
+            with pytest.raises(SupportTooLarge):
+                refused()
+        assert len(multiplicity._LGAMMA) == 1
+        assert math.isfinite(log_stat_weight(20, ReducedStatParams(1.0, 100.0)))   # at the cap
 
     def test_long_channel_list_equals_direct_high_precision(self):
         # 199 channels: ln Gamma(3n/2) up to k = 597, every normal entry at rel 1e-9

@@ -1,15 +1,16 @@
+import dataclasses
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from megstat import ssa
 from megstat import (
+    DiscreteDistribution,
     KineticParams,
     Trajectory,
-    merged_histogram,
     occupancy_histogram,
     poisson_distribution,
     simulate_trajectory,
@@ -18,7 +19,7 @@ from megstat import (
     total_variation,
 )
 from megstat.birthdeath import birth_rate, death_rate
-from megstat.errors import DomainError, FrozenChain, MegstatError
+from megstat.errors import DomainError, MegstatError, NonNormalizable, SupportTooLarge
 
 IMMIGRATION_DEATH = KineticParams(k1=0, k_m1=0, k2=1, k_m2=3, a=1, volume=1)
 BIMODAL = KineticParams(k1=5, k_m1=0.3, k2=2, k_m2=0.1, a=1, volume=1)
@@ -182,26 +183,16 @@ class TestStationaryHistogram:
         assert upper in (8, 9, 10)
         assert total_variation(h, stationary_distribution(BIMODAL)) < 0.02
 
-    def test_frozen_chain_raises(self):
+    def test_frozen_chain_is_the_point_mass_at_zero(self):
         kp = KineticParams(k1=0, k_m1=0, k2=1, k_m2=0, a=1, volume=1)
-        with pytest.raises(FrozenChain):
-            stationary_histogram(kp, seed=1, n_events=20_000)
+        h = stationary_histogram(kp, seed=1, n_events=20_000)
+        assert h.degenerate and h.support.tolist() == [0] and h.probs.tolist() == [1.0]
 
     @pytest.mark.parametrize("burn_in", [-0.1, 0.6, float("nan")])
     def test_validates_burn_in(self, burn_in):
         with pytest.raises(DomainError):
             stationary_histogram(IMMIGRATION_DEATH, seed=1, n_events=10_000,
                                  burn_in_fraction=burn_in)
-
-    def test_merge_needs_a_replica(self):
-        with pytest.raises(DomainError):
-            merged_histogram(IMMIGRATION_DEATH, base_seed=1, n_replicas=0, n_events=10_000)
-
-    @pytest.mark.parametrize("n_replicas", [1.5, 2.0, float("nan"), None])
-    def test_merge_replica_count_must_be_an_integer(self, n_replicas):
-        with pytest.raises(DomainError, match="n_replicas"):
-            merged_histogram(IMMIGRATION_DEATH, base_seed=1, n_replicas=n_replicas,
-                             n_events=10_000)
 
     @pytest.mark.parametrize("n_events", [10_000.7, 20_000.0, float("nan"), "20000"])
     def test_event_count_must_be_an_integer(self, n_events):
@@ -221,10 +212,12 @@ class TestStationaryHistogram:
         with pytest.raises(DomainError):
             simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=seed, max_events=10)
 
-    def test_pure_birth_chain_is_exact(self):
+    def test_pure_birth_chain_is_exact(self, monkeypatch):
         # d = 0, so the walk is 0, 1, 2, ... whatever the uniforms, and it runs
         # past its first rate table; after the burn-in cut each state is
-        # visited once and weighted by its dwell time 1/b(n)
+        # visited once and weighted by its dwell time 1/b(n).  The chain has
+        # no stationary law, so the gate is opened to test the walk alone.
+        monkeypatch.setattr(ssa, "_check_support", lambda kp, tail_tol: False)
         kp = KineticParams(k1=0.7, k_m1=0, k2=0, k_m2=3, a=1, volume=1)
         n_events = 20_000
         cut = int(0.1 * n_events)
@@ -297,8 +290,43 @@ def test_trajectory_is_a_jump_path_or_a_typed_error(k1, k_m1, k2, k_m2, volume, 
     assert not traj.frozen or birth_rate(last, kp) + death_rate(last, kp) == 0
 
 
-def test_merged_replicas_deterministic():
-    a = merged_histogram(IMMIGRATION_DEATH, base_seed=5, n_replicas=3, n_events=20_000)
-    b = merged_histogram(IMMIGRATION_DEATH, base_seed=5, n_replicas=3, n_events=20_000)
-    assert np.array_equal(a.probs, b.probs)
-    assert total_variation(a, poisson_distribution(3.0)) < 0.05
+class _Walked(Exception):
+    """Raised by a walk that the gate should have made needless."""
+
+
+def _no_walk(*args):
+    raise _Walked
+
+
+_GATE_RATE = st.one_of(st.just(0.0), st.floats(-3.0, 7.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=100, deadline=None)
+@given(k1=_GATE_RATE, k_m1=_GATE_RATE, k2=_GATE_RATE, k_m2=_GATE_RATE,
+       volume=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e))
+@example(k1=0, k_m1=0, k2=1, k_m2=0, volume=1)         # frozen at 0
+@example(k1=2, k_m1=0, k2=1, k_m2=1, volume=1)         # no law: a walk would drift up
+@example(k1=0, k_m1=0, k2=1, k_m2=1e7, volume=1)       # Poisson(1e7)
+@example(k1=1, k_m1=1e-7, k2=0.5, k_m2=1, volume=1)    # upper extremum root 5e6
+def test_histogram_keeps_the_gate_of_the_analytic_law(k1, k_m1, k2, k_m2, volume):
+    kp = KineticParams(k1=k1, k_m1=k_m1, k2=k2, k_m2=k_m2, a=1, volume=volume)
+    try:
+        law = stationary_distribution(kp)
+    except MegstatError as exc:
+        law = exc
+    # the gate decides before any walk: a chain that passes it reaches _no_walk
+    with mock.patch.object(ssa, "_walk", _no_walk):
+        try:
+            hist = stationary_histogram(kp, seed=1, n_events=10_000)
+        except (_Walked, MegstatError) as exc:
+            hist = exc
+    assert isinstance(hist, NonNormalizable) == isinstance(law, NonNormalizable)
+    frozen = isinstance(law, DiscreteDistribution) and law.degenerate
+    assert (isinstance(hist, DiscreteDistribution) and hist.degenerate) == frozen
+    if frozen:
+        for field in dataclasses.fields(law):
+            a, b = getattr(hist, field.name), getattr(law, field.name)
+            assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
+    if isinstance(hist, SupportTooLarge):
+        assert isinstance(law, SupportTooLarge)
+    assert frozen or isinstance(hist, (_Walked, NonNormalizable, SupportTooLarge))
