@@ -27,6 +27,13 @@ from .errors import (
 
 _TAIL_TOL = 1e-12                          # the default; find_extrema always scans at it
 _BOUNDARY_TOL = _CONSERVATION_TOL = 1e-9   # transient_evolve's error bounds
+# transient_evolve refuses a t_grid whose RK4 steps times (n_max + 1 + _STEP_STATES)
+# pass _MAX_TRANSIENT_WORK.  A step's fixed numpy overhead costs about 1000 states
+# (~23 us a step at n_max = 40, 15-50 ns a state past 3000, shared 2-vCPU x86-64
+# host); at 2-5e7 state-steps a second the cap is one to two and a half minutes,
+# like stationary_histogram's event cap.  The n_max = 40, t = 30 test needs 2.7e8.
+_STEP_STATES = 1000
+_MAX_TRANSIENT_WORK = 3e9
 
 
 def birth_rate(n, kp: KineticParams):
@@ -306,48 +313,61 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     """Integrate the probability-flow equations on the truncated lattice 0..n_max.
 
     Classic fixed-step 4th-order Runge-Kutta; the step is set from the
-    fastest total rate on the lattice.  The upper boundary leaks (mass past
-    n_max is dropped, never reflected or renormalized); mass above 1e-9 at
-    n_max (``TruncationBreach``) or a drift of the total beyond 1e-9
+    fastest total rate on the lattice, the one at n_max, as both rates grow
+    with n.  The upper boundary leaks (mass past n_max is dropped, never
+    reflected or renormalized); mass above 1e-9 at n_max
+    (``TruncationBreach``) or a drift of the total beyond 1e-9
     (``StepFailure``) is an error, not a silent fix.
+
+    Before any lattice is built, an ``n_max`` past 2,000,000 raises
+    ``SupportTooLarge``, and a ``DomainError`` is raised when a rate at
+    n_max overflows a double or when the steps the grid needs, times
+    n_max + 1 + _STEP_STATES, pass _MAX_TRANSIENT_WORK.
     """
     t_grid = [float(t) for t in t_grid]
     if not all(0 <= t < math.inf for t in t_grid) or any(
             t2 <= t1 for t1, t2 in zip(t_grid, t_grid[1:])):
         raise DomainError("t_grid must be finite, non-negative and strictly increasing")
-    if initial.support[-1] > _integer("n_max", n_max):
+    n_max = _integer("n_max", n_max)
+    if initial.support[-1] > n_max:
         raise DomainError("initial distribution extends past n_max")
+    if n_max > _MAX_SUPPORT:
+        raise SupportTooLarge(f"n_max={n_max} lies past {_MAX_SUPPORT} states")
+
+    max_rate = birth_rate(n_max, kp) + death_rate(n_max, kp)
+    if max_rate == math.inf:
+        raise DomainError(f"the rates overflow a double at n_max={n_max}")
+    dt_cap = 0.1 / max_rate if max_rate > 0 else math.inf
+    spans = [t2 - t1 for t1, t2 in zip([0.0, *t_grid], t_grid)]
+    # each span's step count, kept a float until the cap is checked: it may be inf
+    steps = [max(1.0, span / dt_cap) if span > 0 and max_rate > 0 else 0.0 for span in spans]
+    if sum(steps) * (n_max + 1 + _STEP_STATES) > _MAX_TRANSIENT_WORK:
+        raise DomainError(f"t_grid needs {sum(steps):.3g} RK4 steps on {n_max + 1} states, "
+                          f"more work than the cap of {_MAX_TRANSIENT_WORK:g} allows")
 
     states = np.arange(n_max + 1)
     b = birth_rate(states, kp)
     dr = death_rate(states, kp)
+    leave = b + dr   # the total rate out of each state
 
     p = np.zeros(n_max + 1)
-    p[np.searchsorted(states, initial.support)] = initial.probs
+    p[initial.support] = initial.probs
 
     def rhs(q):
-        out = -(b + dr) * q
+        out = -leave * q
         out[1:] += b[:-1] * q[:-1]    # inflow from below
         out[:-1] += dr[1:] * q[1:]    # inflow from above
         return out
 
-    max_rate = float(np.max(b + dr))
-    dt_cap = 0.1 / max_rate if max_rate > 0 else math.inf
-
     results = []
-    t = 0.0
-    for t_out in t_grid:
-        span = t_out - t
-        if span > 0 and max_rate > 0:
-            n_steps = max(1, int(math.ceil(span / dt_cap)))
-            h = span / n_steps
-            for _ in range(n_steps):
-                k1 = rhs(p)
-                k2 = rhs(p + 0.5 * h * k1)
-                k3 = rhs(p + 0.5 * h * k2)
-                k4 = rhs(p + h * k3)
-                p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t_out
+    for t, span, n_steps in zip(t_grid, spans, map(math.ceil, steps)):
+        h = span / n_steps if n_steps else 0.0
+        for _ in range(n_steps):
+            k1 = rhs(p)
+            k2 = rhs(p + 0.5 * h * k1)
+            k3 = rhs(p + 0.5 * h * k2)
+            k4 = rhs(p + h * k3)
+            p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if p[-1] > _BOUNDARY_TOL:
             raise TruncationBreach(
                 f"mass {p[-1]:.3e} at n_max={n_max} at t={t}; enlarge the lattice")

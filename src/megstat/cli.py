@@ -70,8 +70,10 @@ def _kinetic_params(args) -> KineticParams:
     if not 0 < v < np.inf:   # before the division below, which would blame k_m2
         raise DomainError("volume must be finite and strictly positive")
     # flags carry the natural rate groups k1*A and k_m2*A*V; store with A = 1
-    return KineticParams(k1=args.k1A, k_m1=args.km1, k2=args.k2,
-                         k_m2=args.km2AV / v, a=1.0, volume=v)
+    k_m2 = args.km2AV / v
+    if k_m2 == np.inf and args.km2AV < np.inf:
+        raise DomainError(f"volume {v!r} is too small: km2AV/V overflows a double")
+    return KineticParams(k1=args.k1A, k_m1=args.km1, k2=args.k2, k_m2=k_m2, a=1.0, volume=v)
 
 
 def _moment_dict(d: DiscreteDistribution) -> dict:

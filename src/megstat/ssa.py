@@ -34,7 +34,9 @@ _BLOCK = 4096
 # of walking (~86 ns per event on a shared 2-vCPU host)
 _MAX_EVENTS = 10**9
 # simulate_trajectory's cap on the events it stores, which bounds a call's
-# memory: an 8-byte time and an 8-byte state each, ~160 MB at the cap
+# memory: an 8-byte time and an 8-byte state each, 16 B per event and ~160 MB
+# at the cap.  Joining the blocks holds them twice for a moment: a 10^7-event
+# pure-birth walk peaked at ~330 MB over the interpreter's own RSS.
 _MAX_STORED = 10**7
 
 
@@ -70,17 +72,22 @@ def _walk(kp: KineticParams, n: int, rng: np.random.Generator, n_events: int, dr
     picks the jump), the state held before each event (an array) and the
     state after the block's last event.  The walk reads up-probabilities
     b/(b+d) from a window of tabulated states, rebuilt before a block that
-    could leave it to reach at least max(its length, 2*block) states either
-    side of n (never below 0), so a drifting chain rebuilds it a logarithmic
-    number of times.  A frozen state (total rate 0) gets up-probability 1,
-    and so does state 0 (d(0) = 0): the walk never goes below 0, and the
-    callers cut their path at the first frozen state.
+    could leave it to span two blocks either side of n (never below 0), so
+    the window never holds more than 4*_BLOCK + 1 states, whatever the walk
+    visited before.  Each up-probability is computed on its own state, so
+    the path does not depend on the window.  A frozen state (total rate 0)
+    gets up-probability 1, and so does state 0 (d(0) = 0): the walk never
+    goes below 0, and the callers cut their path at the first frozen state.
+
+    The overflow ``DomainError`` covers the states of the window being
+    built: it is raised when a rate within two blocks of the walk's current
+    state overflows a double, even if the walk would not have reached it.
     """
     lo, up = 0, []
     for done in range(0, n_events, _BLOCK):
         size = min(_BLOCK, n_events - done)
         if not (lo <= max(n - size, 0) and n + size < lo + len(up)):
-            half = max(len(up), 2 * size)
+            half = 2 * size
             lo = max(n - half, 0)
             states = np.arange(lo, n + half + 1, dtype=float)
             with np.errstate(over="ignore"):   # an overflow raises the typed error below
@@ -99,7 +106,7 @@ def _walk(kp: KineticParams, n: int, rng: np.random.Generator, n_events: int, dr
             visit(n)
             n = n + 1 if x < up[n] else n - 1
         n += lo
-        yield u, np.fromiter(path, dtype=np.intp, count=size) + lo, n
+        yield u, np.fromiter(path, dtype=np.int64, count=size) + lo, n
 
 
 def simulate_trajectory(
@@ -160,7 +167,7 @@ def simulate_trajectory(
             raise DomainError(f"max_time {max_time!r} is not reached within {_MAX_STORED} events")
     return Trajectory(
         event_times=np.concatenate(times),
-        states=np.concatenate(states).astype(np.int64),
+        states=np.concatenate(states),
         initial_state=n_init,
         seed=seed,
         end_time=float(t),

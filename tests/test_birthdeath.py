@@ -465,6 +465,22 @@ class TestTransientEvolve:
         with pytest.raises(DomainError, match="n_max"):
             transient_evolve(IMMIGRATION_DEATH, init, [1.0], n_max=n_max)
 
+    @pytest.mark.parametrize("kp, t_grid, n_max, error, match", [
+        (IMMIGRATION_DEATH, [1.0], 10**12, SupportTooLarge, "past 2000000 states"),
+        (IMMIGRATION_DEATH, [1.0], _MAX_SUPPORT + 1, SupportTooLarge, "past 2000000 states"),
+        (IMMIGRATION_DEATH, [1e300], 40, DomainError, "RK4 steps"),
+        (IMMIGRATION_DEATH, [1.0, 1.7e308], 40, DomainError, "RK4 steps"),   # inf steps
+        (DETAILED_BALANCE, [1.0, 2600.0], 40, DomainError, "RK4 steps"),
+        (KineticParams(k1=0, k_m1=1e308, k2=1, k_m2=3, a=1, volume=1), [1.0], 100,
+         DomainError, "overflow"),
+    ], ids=["huge-lattice", "one-past-the-cap", "far-horizon", "steps-overflow",
+            "long-second-span", "rate-overflow"])
+    def test_too_much_work_is_refused_before_the_lattice(self, kp, t_grid, n_max, error, match,
+                                                         no_lattice):
+        init = DiscreteDistribution.from_probs([0], [1.0])
+        with pytest.raises(error, match=match):
+            transient_evolve(kp, init, t_grid, n_max=n_max)
+
 
 _LOG_RATE = st.floats(-6.0, 6.0).map(math.exp)
 

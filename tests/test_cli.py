@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,12 @@ class TestStationary:
         assert rc == 1 and out == ""
         assert err == "ERROR DOMAIN_ERROR: volume must be finite and strictly positive\n"
 
+    def test_subnormal_volume_is_blamed_on_the_volume(self, capsys):
+        # V is finite and positive, but km2AV/V overflows
+        rc, out, err = run(["stationary", *POISSON3[:-2], "--V=1e-320"], capsys)
+        assert rc == 1 and out == ""
+        assert err == "ERROR DOMAIN_ERROR: volume 1e-320 is too small: km2AV/V overflows a double\n"
+
     def test_ssa_refuses_what_stationary_refuses(self, capsys):
         flags = ["--k1A", "2", "--km1", "0", "--k2", "1", "--km2AV", "1", "--V", "1"]
         for mode in ("stationary", "ssa"):
@@ -317,6 +324,18 @@ class TestEvolve:
             assert snap["support"] == list(range(41))
             assert sum(snap["probs"]) == pytest.approx(1.0, abs=1e-12)
             assert snap["probs"] == law.probs.tolist()
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--n-max", "40", "--t-grid", "1e300"], "DOMAIN_ERROR"),
+        (["--n-max", "1000000000000", "--t-grid", "1"], "SUPPORT_TOO_LARGE"),
+    ], ids=["far-horizon", "huge-lattice"])
+    def test_too_much_work_exits_one_at_once(self, flags, code, capsys, no_lattice):
+        # without the refusal: a 7 TiB lattice, or a step loop that never ends
+        start = time.perf_counter()
+        rc, out, err = run(["evolve", *POISSON3, *flags], capsys)
+        assert time.perf_counter() - start < 0.1
+        assert rc == 1 and out == ""
+        assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1
 
 
 class TestExtrema:

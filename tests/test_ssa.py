@@ -99,6 +99,15 @@ class TestSimulateTrajectory:
         path = np.concatenate([[traj.initial_state], traj.states])
         assert np.all(np.abs(np.diff(path)) == 1)
 
+    def test_drifting_walk_tabulates_a_bounded_window(self, monkeypatch):
+        # a pure-birth walk climbs 10^5 states; each table spans two blocks either side of it
+        sizes = []
+        monkeypatch.setattr(ssa, "birth_rate", lambda n, kp: sizes.append(len(n)) or birth_rate(n, kp))
+        kp = KineticParams(k1=0, k_m1=0, k2=0, k_m2=3, a=1, volume=1)
+        traj = simulate_trajectory(kp, n_init=0, seed=1, max_events=10**5)
+        assert traj.states[-1] == 10**5
+        assert max(sizes) <= 4 * ssa._BLOCK + 1
+
     @pytest.mark.parametrize("max_events", [ssa._MAX_STORED + 1, -5, float("nan"), 2.5, 10.0])
     def test_max_events_outside_the_store_cap_is_refused_up_front(self, max_events):
         with pytest.raises(DomainError, match="max_events"):
