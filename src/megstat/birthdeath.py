@@ -29,11 +29,17 @@ _TAIL_TOL = 1e-12                          # the default; find_extrema always sc
 _BOUNDARY_TOL = _CONSERVATION_TOL = 1e-9   # transient_evolve's error bounds
 # transient_evolve refuses a t_grid whose RK4 steps times (n_max + 1 + _STEP_STATES)
 # pass _MAX_TRANSIENT_WORK.  A step's fixed numpy overhead costs about 1000 states
-# (~23 us a step at n_max = 40, 15-50 ns a state past 3000, shared 2-vCPU x86-64
-# host); at 2-5e7 state-steps a second the cap is one to two and a half minutes,
+# (~12 us a step at n_max = 40, 11-37 ns a state past 3000, shared 2-vCPU x86-64
+# host); at 3-9e7 state-steps a second the cap is half a minute to two minutes,
 # like stationary_histogram's event cap.  The n_max = 40, t = 30 test needs 2.7e8.
 _STEP_STATES = 1000
 _MAX_TRANSIENT_WORK = 3e9
+# transient_evolve also refuses a t_grid whose laws, len(t_grid) * (n_max + 1)
+# probabilities, pass _MAX_STORED_STATES, which bounds a call's memory as
+# ssa._MAX_STORED does: 8 B a probability (the laws share one support array),
+# ~80 MB at the cap.  The work cap alone lets an output time cost one step, or
+# nothing when every rate is 0.
+_MAX_STORED_STATES = 10**7
 
 
 def birth_rate(n, kp: KineticParams):
@@ -314,15 +320,19 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
 
     Classic fixed-step 4th-order Runge-Kutta; the step is set from the
     fastest total rate on the lattice, the one at n_max, as both rates grow
-    with n.  The upper boundary leaks (mass past n_max is dropped, never
-    reflected or renormalized); mass above 1e-9 at n_max
-    (``TruncationBreach``) or a drift of the total beyond 1e-9
-    (``StepFailure``) is an error, not a silent fix.
+    with n.  Q is constant, so one step of size h is exactly the polynomial
+    p + hQp + (hQ)^2 p/2 + (hQ)^3 p/6 + (hQ)^4 p/24, evaluated by Horner's
+    rule: v <- p + (h/k) Q v for k = 4, 3, 2, 1, starting from v = p, with
+    Q's three diagonals scaled by h/k once per span.  The upper boundary
+    leaks (mass past n_max is dropped, never reflected or renormalized);
+    mass above 1e-9 at n_max (``TruncationBreach``) or a drift of the total
+    beyond 1e-9 (``StepFailure``) is an error, not a silent fix.
 
     Before any lattice is built, an ``n_max`` past 2,000,000 raises
-    ``SupportTooLarge``, and a ``DomainError`` is raised when a rate at
-    n_max overflows a double or when the steps the grid needs, times
-    n_max + 1 + _STEP_STATES, pass _MAX_TRANSIENT_WORK.
+    ``SupportTooLarge``, and a ``DomainError`` is raised when the laws to
+    return, len(t_grid) * (n_max + 1) probabilities, pass _MAX_STORED_STATES,
+    when a rate at n_max overflows a double, or when the steps the grid needs,
+    times n_max + 1 + _STEP_STATES, pass _MAX_TRANSIENT_WORK.
     """
     t_grid = [float(t) for t in t_grid]
     if not all(0 <= t < math.inf for t in t_grid) or any(
@@ -333,6 +343,9 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
         raise DomainError("initial distribution extends past n_max")
     if n_max > _MAX_SUPPORT:
         raise SupportTooLarge(f"n_max={n_max} lies past {_MAX_SUPPORT} states")
+    if len(t_grid) * (n_max + 1) > _MAX_STORED_STATES:
+        raise DomainError(f"{len(t_grid)} laws on {n_max + 1} states would store more "
+                          f"than {_MAX_STORED_STATES:g} probabilities")
 
     max_rate = birth_rate(n_max, kp) + death_rate(n_max, kp)
     if max_rate == math.inf:
@@ -348,26 +361,28 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     states = np.arange(n_max + 1)
     b = birth_rate(states, kp)
     dr = death_rate(states, kp)
-    leave = b + dr   # the total rate out of each state
+    # Q's three diagonals: the rate out of each state, inflow from below and from above
+    diagonals = (-(b + dr), b[:-1], dr[1:])
 
     p = np.zeros(n_max + 1)
     p[initial.support] = initial.probs
 
-    def rhs(q):
-        out = -leave * q
-        out[1:] += b[:-1] * q[:-1]    # inflow from below
-        out[:-1] += dr[1:] * q[1:]    # inflow from above
-        return out
-
-    results = []
+    results, levels = [], []
     for t, span, n_steps in zip(t_grid, spans, map(math.ceil, steps)):
-        h = span / n_steps if n_steps else 0.0
+        if n_steps:
+            # the Horner levels v <- p + (h/k) Q v, k = 4, 3, 2, 1: Q's diagonals
+            # scaled once per span, after the last span's levels are let go
+            levels.clear()
+            levels += [[span / n_steps / k * x for x in diagonals] for k in (4, 3, 2, 1)]
         for _ in range(n_steps):
-            k1 = rhs(p)
-            k2 = rhs(p + 0.5 * h * k1)
-            k3 = rhs(p + 0.5 * h * k2)
-            k4 = rhs(p + h * k3)
-            p = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            v = p
+            for out, up, down in levels:
+                w = out * v
+                w[1:] += up * v[:-1]
+                w[:-1] += down * v[1:]
+                w += p
+                v = w
+            p = v
         if p[-1] > _BOUNDARY_TOL:
             raise TruncationBreach(
                 f"mass {p[-1]:.3e} at n_max={n_max} at t={t}; enlarge the lattice")

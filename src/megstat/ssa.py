@@ -35,8 +35,8 @@ _BLOCK = 4096
 _MAX_EVENTS = 10**9
 # simulate_trajectory's cap on the events it stores, which bounds a call's
 # memory: an 8-byte time and an 8-byte state each, 16 B per event and ~160 MB
-# at the cap.  Joining the blocks holds them twice for a moment: a 10^7-event
-# pure-birth walk peaked at ~330 MB over the interpreter's own RSS.
+# at the cap.  The events are written in place into arrays sized by max_events
+# (or grown by doubling), so they are never held twice.
 _MAX_STORED = 10**7
 
 
@@ -136,8 +136,12 @@ def simulate_trajectory(
         raise DomainError(f"max_events must lie in [0, {_MAX_STORED}], got {max_events!r}")
     cap_time = math.inf if max_time is None else float(max_time)
 
-    times = [np.empty(0)]
-    states = [np.empty(0, dtype=np.int64)]
+    # filled in place; with only max_time given they start at one block and are
+    # grown by doubling.  resize reallocates them in place, and no view of them
+    # is kept, so refcheck is not needed
+    times = np.empty(_BLOCK if max_events is None else cap_events)
+    states = np.empty(len(times), dtype=np.int64)
+    stored = 0
     t = 0.0
     frozen = False
     for u, held, n_end in _walk(kp, int(n_init), _generator(seed), cap_events, 2):
@@ -150,8 +154,13 @@ def simulate_trajectory(
         late = np.flatnonzero(clock > cap_time)
         if len(late):
             keep = late[0]
-        times.append(clock[:keep])
-        states.append(np.append(held[1:], n_end)[:keep])
+        if stored + keep > len(times):
+            size = min(2 * len(times), cap_events)
+            for a in (times, states):
+                a.resize(size, refcheck=False)
+        times[stored:stored + keep] = clock[:keep]
+        states[stored:stored + keep] = np.append(held[1:], n_end)[:keep]
+        stored += keep
         if len(late):
             t = cap_time
             break
@@ -165,9 +174,11 @@ def simulate_trajectory(
     else:
         if max_events is None:
             raise DomainError(f"max_time {max_time!r} is not reached within {_MAX_STORED} events")
+    for a in (times, states):
+        a.resize(stored, refcheck=False)
     return Trajectory(
-        event_times=np.concatenate(times),
-        states=np.concatenate(states),
+        event_times=times,
+        states=states,
         initial_state=n_init,
         seed=seed,
         end_time=float(t),

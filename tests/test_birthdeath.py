@@ -423,14 +423,62 @@ class TestDetailedBalanceGap:
             assert total_variation(d, poisson_distribution(xbar * v)) < 1e-10
 
 
+def _uniformized(kp, t_grid, n_max):
+    """Exact laws from the empty state on the leaky lattice 0..n_max, by uniformization.
+
+    With lam the largest total rate, P = I + Q/lam has non-negative entries, and the law
+    after a time tau is sum_k e^(-lam tau) (lam tau)^k / k! P^k p: a sum of non-negative
+    terms.  Each span is cut into pieces with lam tau <= 30, so e^(-lam tau) stays normal,
+    and a piece's sum stops once its Poisson weights pass their mode and fall below 1e-18.
+    """
+    n = np.arange(n_max + 1)
+    b, d = birth_rate(n, kp), death_rate(n, kp)
+    lam = float(np.max(b + d))
+    stay, up, down = (lam - (b + d)) / lam, b[:-1] / lam, d[1:] / lam
+    p = (n == 0).astype(float)
+    laws = []
+    for span in np.diff([0.0, *t_grid]):
+        pieces = max(1, math.ceil(lam * span / 30))
+        x = lam * span / pieces
+        for _ in range(pieces):
+            term = math.exp(-x) * p
+            p, weight, k = term.copy(), math.exp(-x), 0
+            while k <= x or weight > 1e-18:
+                k += 1
+                nxt = stay * term
+                nxt[1:] += up * term[:-1]
+                nxt[:-1] += down * term[1:]
+                term = nxt * (x / k)
+                weight *= x / k
+                p += term
+        laws.append(p.copy())
+    return laws
+
+
 class TestTransientEvolve:
-    def test_immigration_death_mean_relaxation(self):
+    @pytest.mark.parametrize("kp, t_grid, n_max", [
+        (BIMODAL, [0.05, 0.25, 0.5, 1.0, 2.0], 60),
+        (DETAILED_BALANCE, [0.1, 0.5, 1.0, 2.0, 5.0], 40),
+        (IMMIGRATION_DEATH, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0], 40),
+    ], ids=["bimodal", "detailed-balance", "immigration-death"])
+    def test_matches_uniformization(self, kp, t_grid, n_max):
         init = DiscreteDistribution.from_probs([0], [1.0])
-        t_grid = [0.25, 0.5, 1.0, 2.0, 4.0]
+        laws = transient_evolve(kp, init, t_grid, n_max=n_max)
+        for t, d, ref in zip(t_grid, laws, _uniformized(kp, t_grid, n_max)):
+            assert np.max(np.abs(d.probs - ref)) <= 1e-9, t
+
+    def test_immigration_death_mean_relaxation(self):
+        # from the empty state the law stays Poisson with mean 3 (1 - e^-t), at every state
+        init = DiscreteDistribution.from_probs([0], [1.0])
+        t_grid = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+        n = np.arange(41)
+        log_factorial = np.array([math.lgamma(k + 1) for k in n])
         dists = transient_evolve(IMMIGRATION_DEATH, init, t_grid, n_max=40)
         for t, d in zip(t_grid, dists):
-            assert d.mean() == pytest.approx(3.0 * (1.0 - np.exp(-t)), abs=1e-6)
+            mean = 3.0 * -math.expm1(-t)
+            assert d.mean() == pytest.approx(mean, abs=1e-6)
             assert abs(d.probs.sum() - 1.0) < 1e-12
+            assert np.max(np.abs(d.probs - np.exp(n * math.log(mean) - mean - log_factorial))) <= 1e-9
 
     def test_long_horizon_reaches_stationarity(self):
         init = DiscreteDistribution.from_probs([0], [1.0])
@@ -473,8 +521,11 @@ class TestTransientEvolve:
         (DETAILED_BALANCE, [1.0, 2600.0], 40, DomainError, "RK4 steps"),
         (KineticParams(k1=0, k_m1=1e308, k2=1, k_m2=3, a=1, volume=1), [1.0], 100,
          DomainError, "overflow"),
+        # every rate 0: no step at all, but 200 laws of 100,001 states to store
+        (KineticParams(k1=0, k_m1=0, k2=0, k_m2=0, a=1, volume=1),
+         [float(t) for t in range(1, 201)], 100_000, DomainError, "store more than"),
     ], ids=["huge-lattice", "one-past-the-cap", "far-horizon", "steps-overflow",
-            "long-second-span", "rate-overflow"])
+            "long-second-span", "rate-overflow", "too-many-stored-states"])
     def test_too_much_work_is_refused_before_the_lattice(self, kp, t_grid, n_max, error, match,
                                                          no_lattice):
         init = DiscreteDistribution.from_probs([0], [1.0])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -107,6 +108,27 @@ class TestSimulateTrajectory:
         traj = simulate_trajectory(kp, n_init=0, seed=1, max_events=10**5)
         assert traj.states[-1] == 10**5
         assert max(sizes) <= 4 * ssa._BLOCK + 1
+
+    def test_stored_events_are_held_once(self):
+        # the events are written into arrays sized by max_events: 16 B each, no joined copy
+        tracemalloc.start()
+        try:
+            traj = simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=1, max_events=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) == 10**6
+        assert peak < 1.25 * 16 * 10**6
+
+    def test_max_time_walk_grows_its_store(self):
+        # ~60,000 events: the store doubles from one block several times
+        grown = simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=3, max_time=1e4)
+        sized = simulate_trajectory(IMMIGRATION_DEATH, n_init=0, seed=3,
+                                    max_events=len(grown.states))
+        assert len(grown.states) > 8 * ssa._BLOCK
+        assert np.array_equal(grown.states, sized.states)
+        assert np.array_equal(grown.event_times, sized.event_times)
+        assert grown.event_times.base is None and grown.states.base is None
 
     @pytest.mark.parametrize("max_events", [ssa._MAX_STORED + 1, -5, float("nan"), 2.5, 10.0])
     def test_max_events_outside_the_store_cap_is_refused_up_front(self, max_events):
