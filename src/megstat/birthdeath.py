@@ -65,60 +65,6 @@ def step_ratio(n: int, kp: KineticParams) -> float:
     return b / d
 
 
-def _check_support(kp: KineticParams, tail_tol: float) -> bool:
-    """True for the frozen chain (b(0) = 0), whose law is the point mass at 0; raises for
-    a law that does not exist or needs too many states.  Both stationary routes pass
-    this gate before any scan or walk.
-
-    With k_m1 > 0, b(n) - d(n+1) is a concave quadratic in n, so r(n) >= 1
-    between the roots of :func:`continuous_extremum_roots`.  The scan's cut N
-    needs r(N-1) < 1 on the ratio's decreasing branch (below the smaller root
-    the ratio still rises), so it lies past the larger root.  When that root
-    passes _MAX_SUPPORT + 2 (the margin absorbs rounding), no cut the scan
-    tests can hold.
-
-    With k_m1 = 0 the law is negative binomial with r = c/(k1*A), c = k_m2*A*V,
-    and rho = k1*A/k2, or Poisson(lam = c/k2) when k1*A = 0.  It exists only
-    for rho < 1.  The scan's cut N needs r(N-1) < 1, so it lies past the mode
-    (c - k2)/(k2 - k1*A).  Past the mode, the mass at m and above is at least
-    P(m), or P(m)/(1 - rho_min) with rho_min = rho*min(1, (m+r)/(m+1)) a bound
-    on every ratio past m.  When that holds twice tail_tol at
-    m = _MAX_SUPPORT + 2, past every state the scan tests, no tail certificate
-    can hold there and the scan would run out of states.
-    """
-    if not 0 < tail_tol <= 1e-3:
-        raise DomainError("tail_tol must lie in (0, 1e-3]")
-    if birth_rate(0, kp) == 0:
-        return True
-    if kp.k_m1 > 0:
-        roots = continuous_extremum_roots(kp)
-        if roots and roots[-1] > _MAX_SUPPORT + 2:
-            raise SupportTooLarge(f"the law's upper extremum root {roots[-1]:.6g} "
-                                  f"lies past {_MAX_SUPPORT} states")
-        return False
-    k1a, c = kp.k1 * kp.a, kp.k_m2 * kp.a * kp.volume
-    if k1a >= kp.k2:
-        raise NonNormalizable("step ratio does not decay: k_m1 = 0 and k1*A >= k2")
-    rho, lam, m = k1a / kp.k2, c / kp.k2, _MAX_SUPPORT + 2
-    r = c / k1a if k1a > 0 else math.inf
-    if (c - kp.k2) / (kp.k2 - k1a) > _MAX_SUPPORT + 1:
-        log_tail = math.inf   # the mode itself lies past every cut the scan tests
-    elif r <= 1e12:
-        log_tail = (math.lgamma(m + r) - math.lgamma(r) - math.lgamma(m + 1)
-                    + m * math.log(rho) + r * math.log1p(-rho)
-                    - math.log1p(-rho * min(1.0, (m + r) / (m + 1))))
-    else:
-        # past r = 1e12 the rounding of lgamma(m + r) - lgamma(r) nears the factor
-        # 2, so bound P(m) below by Gamma(m + r)/Gamma(r) >= r^m: exact for Poisson
-        log_tail = (r * math.log1p(-rho) if k1a > 0 else -lam) + m * math.log(lam) \
-            - math.lgamma(m + 1)
-    if log_tail >= math.log(2 * tail_tol):
-        law = (f"negative-binomial law (r={r:.6g}, rho={rho:.6g})" if k1a > 0
-               else f"Poisson law (lam={lam:.6g})")
-        raise SupportTooLarge(f"the {law} holds more than {tail_tol:g} past {_MAX_SUPPORT} states")
-    return False
-
-
 def stationary_weights_exact(kp: KineticParams, n_max: int) -> list:
     """Stationary weights on 0..n_max as exact rationals (rational inputs only)."""
     k1a = Fraction(kp.k1) * Fraction(kp.a)
@@ -136,24 +82,64 @@ def stationary_weights_exact(kp: KineticParams, n_max: int) -> list:
     return w
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
     """Log weights of the stationary law on lo..N and the ratios r(n) = b(n)/d(n+1), lo <= n < N.
 
-    Returns ``(lo, logw, ratios)`` with logw[0] = 0.  The chain lives on n >= 1
+    The one verdict on the stationary law, for ``stationary_distribution``,
+    ``find_extrema`` and ``ssa.stationary_histogram``.  Returns
+    ``(lo, logw, ratios)`` with logw[0] = 0.  The chain lives on n >= 1
     (lo = 1) when d(1) = k2 = 0 < b(0): state 0 is then left at once and never
     re-entered.  Only the frozen chain (b(0) = 0) has the single state 0.
 
-    The product runs in doubling chunks of array arithmetic.  N is the first
-    state past lo where r(N-1) < 1, the ratio is on its decreasing branch
-    (k_m1 > 0: r(N) <= r(N-1), as the ratio is unimodal in n; k_m1 = 0: it
-    tends monotonically to k1*A/k2), and the geometric bound
+    Up front: r(n) >= 1 between the roots of :func:`continuous_extremum_roots`
+    (up to the one root, the mode, when k_m1 = 0), and the cut N needs
+    r(N-1) < 1 on the ratio's decreasing branch, so no cut can hold once the
+    larger root passes _MAX_SUPPORT + 2 (the margin absorbs rounding).  With
+    k_m1 = 0 the law is negative binomial, r = c/(k1*A) with c = k_m2*A*V and
+    rho = k1*A/k2 < 1 (Poisson(lam = c/k2) when k1*A = 0).  Every ratio past m
+    is at least rho_m = rho*min(1, (m+r)/(m+1)), so the mass at m and above is
+    at least P(m)/(1 - rho_m), and no cut can hold when that reaches 2*tail_tol
+    at m = _MAX_SUPPORT + 2.
+
+    Then the product runs in doubling chunks of array arithmetic, under one
+    ``np.errstate``; a ratio of 0 or inf takes its exact log, log b - log d.
+    N is the first state past lo where r(N-1) < 1, the ratio is on its
+    decreasing branch (k_m1 > 0: r(N) <= r(N-1), as the ratio is unimodal in
+    n; k_m1 = 0: it tends monotonically to k1*A/k2), and the geometric bound
     P(N) * rho/(1-rho) < tail_tol, with rho an upper bound on every later
     ratio, certifies the dropped mass.
     """
-    if _check_support(kp, tail_tol):
+    if not 0 < tail_tol <= 1e-3:
+        raise DomainError("tail_tol must lie in (0, 1e-3]")
+    if birth_rate(0, kp) == 0:
         return 0, np.zeros(1), np.zeros(0)
+    k1a, c = kp.k1 * kp.a, kp.k_m2 * kp.a * kp.volume
+    if kp.k_m1 == 0 and k1a >= kp.k2:
+        raise NonNormalizable("step ratio does not decay: k_m1 = 0 and k1*A >= k2")
+    roots = continuous_extremum_roots(kp)
+    if roots and roots[-1] > _MAX_SUPPORT + 2:
+        raise SupportTooLarge(f"the law's upper extremum root {roots[-1]:.6g} "
+                              f"lies past {_MAX_SUPPORT} states")
+    if kp.k_m1 == 0:
+        rho, lam, m = k1a / kp.k2, c / kp.k2, _MAX_SUPPORT + 2
+        r = c / k1a if k1a > 0 else math.inf
+        # log rho and log lam as differences of logs: the ratios may underflow to 0
+        if r <= 1e12:
+            log_tail = (math.lgamma(m + r) - math.lgamma(r) - math.lgamma(m + 1)
+                        + m * (math.log(k1a) - math.log(kp.k2)) + r * math.log1p(-rho)
+                        - math.log1p(-rho * min(1.0, (m + r) / (m + 1))))
+        else:
+            # past r = 1e12 the rounding of lgamma(m + r) - lgamma(r) nears the factor
+            # 2, so bound P(m) below by Gamma(m + r)/Gamma(r) >= r^m: exact for Poisson
+            log_tail = (r * math.log1p(-rho) if k1a > 0 else -lam) \
+                + m * (math.log(c) - math.log(kp.k2)) - math.lgamma(m + 1)
+        if log_tail >= math.log(2 * tail_tol):
+            law = (f"negative-binomial law (r={r:.6g}, rho={rho:.6g})" if k1a > 0
+                   else f"Poisson law (lam={lam:.6g})")
+            raise SupportTooLarge(f"the {law} holds more than {tail_tol:g} past {_MAX_SUPPORT} states")
 
-    limit_ratio = kp.k1 * kp.a / kp.k2 if kp.k_m1 == 0 else 0.0
+    limit_ratio = k1a / kp.k2 if kp.k_m1 == 0 else 0.0
     log_tol = math.log(tail_tol)
     lo = 1 if kp.k2 == 0 else 0
     logws, ratios = [np.zeros(1)], []
@@ -163,15 +149,20 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
         # r(start..start+size): the weights of states start+1..start+size,
         # plus the ratio one past the last of them for the decreasing test
         n = np.arange(start, start + size + 1, dtype=float)
-        r = birth_rate(n, kp) / death_rate(n + 1, kp)
+        b, d = birth_rate(n, kp), death_rate(n + 1, kp)
+        r = b / d
         r_prev, r_next = r[:-1], r[1:]
         log_r = np.log(r_prev)
         log_r[0] += last
         logw = np.cumsum(log_r)
+        if not math.isfinite(logw[-1]):   # a ratio of 0 or inf takes its exact log
+            log_r = np.where(np.isinf(r_prev) | (r_prev == 0),
+                             np.log(b[:-1]) - np.log(d[:-1]), np.log(r_prev))
+            log_r[0] += last
+            logw = np.cumsum(log_r)
         totals = np.logaddexp.accumulate(np.concatenate(([log_total], logw)))[1:]
         rho = np.maximum(r_prev, limit_ratio)   # rho < 1 implies r(N-1) < 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (rho < 1.0) & (logw + np.log(rho / (1.0 - rho)) < log_tol + totals)
+        ok = (rho < 1.0) & (logw + np.log(rho / (1.0 - rho)) < log_tol + totals)
         if kp.k_m1 > 0:
             ok &= r_next <= r_prev
         hit = np.flatnonzero(ok)
@@ -206,30 +197,38 @@ def stationary_distribution(kp: KineticParams, tail_tol: float = _TAIL_TOL) -> D
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> tuple:
-    """Real roots of a x^2 + b x + c, handling the degenerate linear case."""
+    """Finite real roots of a x^2 + b x + c, ascending; -c/b, unscaled, when a = 0.
+
+    A quadratic is scaled exactly, by a power of two, to a largest coefficient
+    below 1, so b^2 cannot overflow, and its roots are q/a and c/q with
+    q = -(b + sign(b) sqrt(disc))/2, free of cancellation.  A negative or NaN
+    discriminant gives no root, and a root that overflows a double is left
+    out (an a that scales to 0 leaves the linear root).
+    """
+    if a != 0:
+        e = math.frexp(max(abs(a), abs(b), abs(c)))[1]
+        a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
     if a == 0:
-        if b == 0:
+        roots = (-c / b,) if b != 0 else ()
+    else:
+        disc = b * b - 4 * a * c
+        if not disc >= 0:
             return ()
-        return (-c / b,)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return ()
-    s = math.sqrt(disc)
-    return tuple(sorted(((-b - s) / (2 * a), (-b + s) / (2 * a))))
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2
+        roots = (q / a, c / q if q else 0.0)
+    return tuple(sorted(x for x in roots if math.isfinite(x)))
 
 
 def continuous_extremum_roots(kp: KineticParams) -> tuple:
-    """Real solutions of birth_rate(N) = death_rate(N+1) in continuous N.
+    """Real solutions of birth_rate(N) = death_rate(N+1) in continuous N, ascending.
 
-    Derived directly from the rate laws:
-    k_m1 N^2 + (k_m1 + k2 V - k1 A V) N + (k2 V - k_m2 A V^2) = 0.
+    In rate units, b(N) - d(N+1) = -(k_m1/V) N^2 + (k1 A - k_m1/V - k2) N + (k_m2 A V - k2),
+    so with k_m1 = 0 the one root is, bit for bit, the negative-binomial mode
+    (k_m2 A V - k2)/(k2 - k1 A).  A root that overflows a double is left out.
     """
-    v = kp.volume
-    return _quadratic_roots(
-        kp.k_m1,
-        kp.k_m1 + kp.k2 * v - kp.k1 * kp.a * v,
-        kp.k2 * v - kp.k_m2 * kp.a * v * v,
-    )
+    k_m1v = kp.k_m1 / kp.volume
+    return _quadratic_roots(-k_m1v, kp.k1 * kp.a - k_m1v - kp.k2,
+                            kp.k_m2 * kp.a * kp.volume - kp.k2)
 
 
 def alt_closed_form_roots(kp: KineticParams) -> tuple:
@@ -237,18 +236,14 @@ def alt_closed_form_roots(kp: KineticParams) -> tuple:
 
     Kept for cross-checking: it differs from the self-derived quadratic in
     the sign of the linear term and of the generation term, and is undefined
-    for k_m1 = 0.  Disagreement raises the discrepancy flag in find_extrema.
+    for k_m1 = 0: -(k_m1/V) N^2 + (k_m1/V + k2 - k1 A) N - (k_m2 A V + k2) = 0.
+    Disagreement raises the discrepancy flag in find_extrema.
     """
     if kp.k_m1 == 0:
         return ()
-    v = kp.volume
-    b = kp.k_m1 + kp.k2 * v - kp.k1 * kp.a * v
-    disc = (kp.k1 * kp.a * v - kp.k_m1 - kp.k2 * v) ** 2 \
-        - 4 * kp.k_m1 * (kp.k_m2 * kp.a * v * v + kp.k2 * v)
-    if disc < 0:
-        return ()
-    s = math.sqrt(disc)
-    return tuple(sorted(((b - s) / (2 * kp.k_m1), (b + s) / (2 * kp.k_m1))))
+    k_m1v = kp.k_m1 / kp.volume
+    return _quadratic_roots(-k_m1v, k_m1v + kp.k2 - kp.k1 * kp.a,
+                            -(kp.k_m2 * kp.a * kp.volume + kp.k2))
 
 
 def find_extrema(kp: KineticParams) -> ExtremaReport:
@@ -262,12 +257,12 @@ def find_extrema(kp: KineticParams) -> ExtremaReport:
     of 1e-12; the extrema do not depend on it, because past the cut the
     ratio stays below 1, so no later state is a maximum or a minimum.
     """
+    lo, _, ratios = _stationary_scan(kp, _TAIL_TOL)
     roots = continuous_extremum_roots(kp)
     alt = alt_closed_form_roots(kp)
     disagree = len(alt) != len(roots) or any(
         abs(x - y) > 1e-9 * max(1.0, abs(x), abs(y)) for x, y in zip(roots, alt))
 
-    lo, _, ratios = _stationary_scan(kp, _TAIL_TOL)
     # the top state N closes the scan with a ratio below 1: the tail
     # certificate puts r(N) below 1, and the frozen empty chain has r(0) = 0
     r = np.append(ratios, 0.0)
@@ -293,15 +288,15 @@ def find_extrema(kp: KineticParams) -> ExtremaReport:
 def fast_meg_limit_root(kp: KineticParams) -> float:
     """Continuous extremum location in the fast-generation limit k_m1 = 0.
 
-    Returns (k2 - k_m2*A*V) / (k1*A - k2).  The caller must check
-    normalizability (k1*A < k2) for this to be an actual maximum.
+    Returns (k2 - k_m2*A*V) / (k1*A - k2), from :func:`continuous_extremum_roots`.
+    The caller must check normalizability (k1*A < k2) for this to be an actual maximum.
     """
     if kp.k_m1 != 0:
         raise DomainError("fast-generation limit requires k_m1 = 0")
-    denom = kp.k1 * kp.a - kp.k2
-    if denom == 0:
-        raise DegenerateDenominator("k1*A = k2: extremum formula undefined")
-    return (kp.k2 - kp.k_m2 * kp.a * kp.volume) / denom
+    roots = continuous_extremum_roots(kp)
+    if not roots:
+        raise DegenerateDenominator("k1*A = k2, or the root overflows: formula undefined")
+    return roots[0]
 
 
 def detailed_balance_gap(kp: KineticParams) -> float:

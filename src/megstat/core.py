@@ -46,7 +46,10 @@ class PhysicalParams:
 
     @property
     def volume(self) -> float:
-        return 4.0 * math.pi * self.radius ** 3 / 3.0
+        try:
+            return 4.0 * math.pi * self.radius ** 3 / 3.0
+        except OverflowError:   # radius ** 3 passes the largest double
+            raise DomainError(f"radius {self.radius!r} overflows the volume") from None
 
 
 @dataclass(frozen=True)

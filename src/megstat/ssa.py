@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .birthdeath import _TAIL_TOL, _check_support, birth_rate, death_rate
+from .birthdeath import _TAIL_TOL, _stationary_scan, birth_rate, death_rate
 from .core import DiscreteDistribution, KineticParams, _integer
 from .errors import DomainError
 
@@ -220,15 +220,15 @@ def stationary_histogram(
     drawn, one uniform per event drives the walk, and the estimate has lower
     variance than the time-weighted occupancy of one trajectory.
 
-    The chain first passes ``stationary_distribution``'s gate, before any walk:
-    the frozen chain (b(0) = 0) gives its degenerate point mass at 0, and a
-    chain with no law or too large a one raises as there.
+    Before any walk, the chain takes ``stationary_distribution``'s verdict from
+    the same scan: the frozen chain (b(0) = 0) gives its degenerate point mass
+    at 0, and a chain with no law or too large a one raises as there.
     """
     if not 10_000 <= _integer("n_events", n_events) <= _MAX_EVENTS:
         raise DomainError(f"n_events must lie in [10^4, 10^9], got {n_events!r}")
     if not 0.0 <= burn_in_fraction <= 0.5:
         raise DomainError("burn_in_fraction must lie in [0, 0.5]")
-    if _check_support(kp, _TAIL_TOL):
+    if len(_stationary_scan(kp, _TAIL_TOL)[1]) == 1:   # the frozen chain
         return DiscreteDistribution.from_probs([0], [1.0], degenerate=True)
     skip = int(burn_in_fraction * n_events)   # the burn-in events not yet walked
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from megstat import (
     DiscreteDistribution,
@@ -23,7 +23,7 @@ from megstat import (
     transient_evolve,
 )
 from megstat import birthdeath, ssa
-from megstat.birthdeath import _check_support, stationary_weights_exact
+from megstat.birthdeath import _quadratic_roots, continuous_extremum_roots, stationary_weights_exact
 from megstat.core import _MAX_SUPPORT
 from megstat.errors import (
     DegenerateDenominator,
@@ -211,8 +211,25 @@ class TestStationaryDistribution:
         assert sum(chunks) > _MAX_SUPPORT
 
     def test_poisson_within_the_cap_is_left_to_the_scan(self):
-        # Poisson(1.95e6) fits in 1,959,836 states
-        _check_support(KineticParams(k1=0, k_m1=0, k2=1, k_m2=1.95e6, a=1, volume=1), 1e-12)
+        # Poisson(1.95e6) fits in 1,959,836 states: no up-front refusal, and the scan cuts it
+        kp = KineticParams(k1=0, k_m1=0, k2=1, k_m2=1.95e6, a=1, volume=1)
+        lo, logw, _ = birthdeath._stationary_scan(kp, 1e-12)
+        assert lo == 0 and len(logw) == 1_959_836
+
+    def test_root_past_every_double_is_refused_with_a_finite_root(self):
+        # b(N) - d(N+1) = -N^2 + (1e160 - 2) N: its upper root 1e160, whose square
+        # overflows, is found through the scaled quadratic
+        kp = KineticParams(k1=1e160, k_m1=1, k2=1, k_m2=1, a=1, volume=1)
+        assert continuous_extremum_roots(kp)[-1] == pytest.approx(1e160, rel=1e-15)
+        for route in (stationary_distribution, find_extrema):
+            with pytest.raises(SupportTooLarge, match="upper extremum root 1e\\+160"):
+                route(kp)
+
+    def test_huge_death_rate_gives_a_law_on_two_states(self):
+        # with k2 = 1e200, b^2 of the unscaled quadratic overflows; P(1) is ~1e-200
+        d = stationary_distribution(KineticParams(k1=1, k_m1=1, k2=1e200, k_m2=1, a=1, volume=1))
+        assert d.support.tolist() == [0, 1]
+        assert d.probs[1] == pytest.approx(1e-200, rel=1e-12)
 
     @pytest.mark.parametrize("tail_tol", [0.0, 1e-2, math.nan])
     def test_rejects_tail_tol_outside_its_range(self, tail_tol):
@@ -367,6 +384,37 @@ class TestFindExtrema:
     def test_propagates_non_normalizable(self):
         with pytest.raises(NonNormalizable):
             find_extrema(KineticParams(k1=2, k_m1=0, k2=1, k_m2=0.5, a=1, volume=1))
+
+    def test_roots_that_overflow_are_left_out(self):
+        # -(0.1) N^2 - (0.1 + 1e308) N + (1 - 1e308): the lower root ~-1e309
+        # overflows; the alternative form's upper root does too
+        rep = find_extrema(KineticParams(k1=0, k_m1=1, k2=1e308, k_m2=0.1, a=1, volume=10))
+        assert rep.continuous_roots == (-1.0,)
+        assert rep.alt_closed_form_roots == (1.0,)
+
+
+class TestQuadraticRoots:
+    def test_roots_ascend(self):
+        assert _quadratic_roots(1.0, -3.0, 2.0) == (1.0, 2.0)
+        assert _quadratic_roots(-1.0, 3.0, -2.0) == (1.0, 2.0)
+
+    def test_small_root_keeps_its_digits(self):
+        # x^2 - 1e8 x + 1: the textbook (-b + sqrt(disc))/2a loses the root 1e-8
+        lo, hi = _quadratic_roots(1.0, -1e8, 1.0)
+        assert lo == pytest.approx(1e-8, rel=1e-15) and hi == pytest.approx(1e8, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b, c, roots", [
+        (1.0, 0.0, 1.0, ()),                    # negative discriminant
+        (math.inf, math.inf, 1.0, ()),          # NaN discriminant
+        (0.0, 0.0, 1.0, ()),                    # no x at all
+        (0.0, -2.0, 1.0, (0.5,)),               # linear
+        (0.0, 1e-300, 1e300, ()),               # linear root past every double
+        (5e-324, 1.0, -1.0, (1.0,)),            # a scales to 0: its root overflows
+        (1.0, 0.0, 0.0, (0.0, 0.0)),            # double root 0
+        (-1e-200, -1e200, -1e200, (-1.0,)),     # b^2 overflows unscaled
+    ])
+    def test_every_root_is_finite(self, a, b, c, roots):
+        assert _quadratic_roots(a, b, c) == roots
 
 
 class TestFastMegLimit:
@@ -551,6 +599,11 @@ def kinetic_params(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(kinetic_params())
+# a ratio that overflows, a ratio that underflows, a death rate that overflows
+@example(KineticParams(k1=0, k_m1=1, k2=5e-324, k_m2=1, a=1, volume=1))
+@example(KineticParams(k1=0, k_m1=0, k2=1, k_m2=5e-324, a=1, volume=1))
+@example(KineticParams(k1=0, k_m1=1, k2=1e308, k_m2=0.1, a=1, volume=10))
+@example(KineticParams(k1=0, k_m1=0, k2=2, k_m2=5e-324, a=1, volume=1))   # lam = c/k2 underflows
 def test_law_and_extrema_are_finite_or_a_typed_error(kp):
     try:
         d = stationary_distribution(kp)

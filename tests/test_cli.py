@@ -239,6 +239,15 @@ class TestStationary:
             assert rc == 1 and out == ""
             assert err.startswith("ERROR NON_NORMALIZABLE:")
 
+    def test_law_past_the_cap_is_refused_by_every_route(self, capsys):
+        # the upper root, ~2e6, lies under the cap, but the certified cut lies past it
+        flags = ["--k1A", "1", "--km1", "1", "--k2", "1", "--km2AV", "1.999e6", "--V", "1.999e6"]
+        for argv in (["stationary", *flags], ["extrema", *flags],
+                     ["ssa", *flags, "--events", "10000"]):
+            rc, out, err = run(argv, capsys)
+            assert rc == 1 and out == ""
+            assert err.startswith("ERROR SUPPORT_TOO_LARGE:")
+
     def test_frozen_chain_is_one_point_mass_in_both_modes(self, capsys):
         flags = [*POISSON3[:-4], "--km2AV", "0", "--V", "1", "--format", "csv"]
         outs = [run([mode, *flags], capsys) for mode in ("stationary", "ssa")]
@@ -347,6 +356,21 @@ class TestExtrema:
         assert data["integer_maxima"] == [0, 9]
         assert data["is_bimodal"] is True
         assert data["discrepancy_flag"] is True
+
+    def test_root_past_every_double_exits_one(self):
+        # the square of the linear coefficient, ~1e320, would overflow a double
+        proc = run_process(["extrema", "--k1A", "1e160", "--km1", "1", "--k2", "1",
+                            "--km2AV", "1", "--V", "1"])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("ERROR SUPPORT_TOO_LARGE:") and "Traceback" not in proc.stderr
+
+    def test_roots_are_valid_json(self, capsys):
+        # a root that overflows a double is left out, never written as NaN
+        rc, out, _ = run(["extrema", "--k1A", "0", "--km1", "1", "--k2", "1e308",
+                          "--km2AV", "1", "--V", "10"], capsys)
+        assert rc == 0
+        data = json.loads(out, parse_constant=lambda token: pytest.fail(f"{token} in the JSON"))
+        assert data["continuous_roots"] == [-1.0] and data["alt_closed_form_roots"] == [1.0]
 
 
 class TestConfigFile:

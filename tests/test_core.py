@@ -60,6 +60,14 @@ class TestReduceParams:
         with pytest.raises(DomainError):
             PhysicalParams(**kw)
 
+    def test_oversized_radius_is_a_domain_error(self):
+        # radius ** 3 overflows a double
+        p = PhysicalParams(mass=1, radius=1e200, effective_gap=1, photon_energy=2)
+        with pytest.raises(DomainError, match="radius"):
+            p.volume
+        with pytest.raises(DomainError, match="radius"):
+            reduce_params(p)
+
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("kw", [

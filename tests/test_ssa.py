@@ -247,8 +247,9 @@ class TestStationaryHistogram:
         # d = 0, so the walk is 0, 1, 2, ... whatever the uniforms, and it runs
         # past its first rate table; after the burn-in cut each state is
         # visited once and weighted by its dwell time 1/b(n).  The chain has
-        # no stationary law, so the gate is opened to test the walk alone.
-        monkeypatch.setattr(ssa, "_check_support", lambda kp, tail_tol: False)
+        # no stationary law, so the scan is made to pass it, to test the walk alone.
+        monkeypatch.setattr(ssa, "_stationary_scan",
+                            lambda kp, tail_tol: (0, np.zeros(2), np.ones(1)))
         kp = KineticParams(k1=0.7, k_m1=0, k2=0, k_m2=3, a=1, volume=1)
         n_events = 20_000
         cut = int(0.1 * n_events)
@@ -281,6 +282,10 @@ _RATE = st.floats(min_value=0.0, max_value=1e3)
        volume=st.floats(min_value=1e-2, max_value=1e2),
        seed=st.integers(0, 2**32 - 1), n_events=st.integers(10_000, 15_000),
        burn_in=st.floats(min_value=0.0, max_value=0.5))
+# the scan's ratio overflows, its ratio underflows, its death rate overflows
+@example(k1=0, k_m1=1, k2=5e-324, k_m2=1, volume=1, seed=1, n_events=10_000, burn_in=0.1)
+@example(k1=0, k_m1=0, k2=1, k_m2=5e-324, volume=1, seed=1, n_events=10_000, burn_in=0.1)
+@example(k1=0, k_m1=1, k2=1e308, k_m2=0.1, volume=10, seed=1, n_events=10_000, burn_in=0.1)
 def test_histogram_is_a_law_or_a_typed_error(k1, k_m1, k2, k_m2, volume, seed, n_events,
                                               burn_in):
     kp = KineticParams(k1=k1, k_m1=k_m1, k2=k2, k_m2=k_m2, a=1, volume=volume)
@@ -339,6 +344,7 @@ _GATE_RATE = st.one_of(st.just(0.0), st.floats(-3.0, 7.0).map(lambda e: 10.0 ** 
 @example(k1=2, k_m1=0, k2=1, k_m2=1, volume=1)         # no law: a walk would drift up
 @example(k1=0, k_m1=0, k2=1, k_m2=1e7, volume=1)       # Poisson(1e7)
 @example(k1=1, k_m1=1e-7, k2=0.5, k_m2=1, volume=1)    # upper extremum root 5e6
+@example(k1=1, k_m1=1, k2=1, k_m2=1, volume=1.999e6)   # root under the cap, cut past it
 def test_histogram_keeps_the_gate_of_the_analytic_law(k1, k_m1, k2, k_m2, volume):
     kp = KineticParams(k1=k1, k_m1=k_m1, k2=k2, k_m2=k_m2, a=1, volume=volume)
     try:
@@ -358,6 +364,5 @@ def test_histogram_keeps_the_gate_of_the_analytic_law(k1, k_m1, k2, k_m2, volume
         for field in dataclasses.fields(law):
             a, b = getattr(hist, field.name), getattr(law, field.name)
             assert np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
-    if isinstance(hist, SupportTooLarge):
-        assert isinstance(law, SupportTooLarge)
+    assert isinstance(hist, SupportTooLarge) == isinstance(law, SupportTooLarge)
     assert frozen or isinstance(hist, (_Walked, NonNormalizable, SupportTooLarge))
