@@ -67,15 +67,10 @@ def step_ratio(n: int, kp: KineticParams) -> float:
 
 def stationary_weights_exact(kp: KineticParams, n_max: int) -> list:
     """Stationary weights on 0..n_max as exact rationals (rational inputs only)."""
-    k1a = Fraction(kp.k1) * Fraction(kp.a)
-    b0 = Fraction(kp.k_m2) * Fraction(kp.a) * Fraction(kp.volume)
-    km1 = Fraction(kp.k_m1)
-    k2 = Fraction(kp.k2)
-    v = Fraction(kp.volume)
+    exact = KineticParams(**{k: Fraction(v) for k, v in vars(kp).items()})
     w = [Fraction(1)]
     for n in range(n_max):
-        b = k1a * n + b0
-        d = km1 * (n + 1) * n / v + k2 * (n + 1)
+        b, d = birth_rate(n, exact), death_rate(n + 1, exact)
         if d == 0:
             raise NonNormalizable("death rate vanishes with positive birth rate")
         w.append(w[-1] * b / d)
@@ -95,7 +90,8 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
     Up front: r(n) >= 1 between the roots of :func:`continuous_extremum_roots`
     (up to the one root, the mode, when k_m1 = 0), and the cut N needs
     r(N-1) < 1 on the ratio's decreasing branch, so no cut can hold once the
-    larger root passes _MAX_SUPPORT + 2 (the margin absorbs rounding).  With
+    larger root passes m = _MAX_SUPPORT + 2 (the margin absorbs rounding), or
+    once r(m) >= 1 when k_m1 > 0 leaves one root (the other was lost).  With
     k_m1 = 0 the law is negative binomial, r = c/(k1*A) with c = k_m2*A*V and
     rho = k1*A/k2 < 1 (Poisson(lam = c/k2) when k1*A = 0).  Every ratio past m
     is at least rho_m = rho*min(1, (m+r)/(m+1)), so the mass at m and above is
@@ -117,12 +113,14 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
     k1a, c = kp.k1 * kp.a, kp.k_m2 * kp.a * kp.volume
     if kp.k_m1 == 0 and k1a >= kp.k2:
         raise NonNormalizable("step ratio does not decay: k_m1 = 0 and k1*A >= k2")
-    roots = continuous_extremum_roots(kp)
-    if roots and roots[-1] > _MAX_SUPPORT + 2:
+    roots, m = continuous_extremum_roots(kp), _MAX_SUPPORT + 2
+    if roots and roots[-1] > m:
         raise SupportTooLarge(f"the law's upper extremum root {roots[-1]:.6g} "
                               f"lies past {_MAX_SUPPORT} states")
+    if kp.k_m1 > 0 and len(roots) == 1 and birth_rate(m, kp) >= death_rate(m + 1, kp):
+        raise SupportTooLarge(f"the upper extremum root is lost, and b >= d past {_MAX_SUPPORT} states")
     if kp.k_m1 == 0:
-        rho, lam, m = k1a / kp.k2, c / kp.k2, _MAX_SUPPORT + 2
+        rho, lam = k1a / kp.k2, c / kp.k2
         r = c / k1a if k1a > 0 else math.inf
         # log rho and log lam as differences of logs: the ratios may underflow to 0
         if r <= 1e12:
@@ -188,12 +186,11 @@ def stationary_distribution(kp: KineticParams, tail_tol: float = _TAIL_TOL) -> D
     below 1 and decreasing, and the bound  P(N) * rho/(1-rho) < tail_tol
     (rho an upper bound on all later ratios) certifies the dropped mass.
     With k2 = 0 the support starts at 1, because state 0 is transient; the
-    frozen chain (b(0) = 0) gives the point mass at 0, flagged ``degenerate``.
+    frozen chain (b(0) = 0) gives the point mass at 0, the only law on {0}.
     A law whose certified support passes 2,000,000 states raises ``SupportTooLarge``.
     """
     lo, logw, _ = _stationary_scan(kp, tail_tol)
-    return DiscreteDistribution.from_log_weights(
-        np.arange(lo, lo + len(logw)), logw, degenerate=len(logw) == 1)
+    return DiscreteDistribution.from_log_weights(np.arange(lo, lo + len(logw)), logw)
 
 
 def _quadratic_roots(a: float, b: float, c: float) -> tuple:

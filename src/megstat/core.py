@@ -120,7 +120,6 @@ class DiscreteDistribution:
 
     support: np.ndarray
     probs: np.ndarray
-    degenerate: bool = False   # chain frozen at 0 (returned instead of an error)
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=np.int64)
@@ -141,13 +140,13 @@ class DiscreteDistribution:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
 
     @classmethod
-    def from_log_weights(cls, support, log_weights, **kw) -> "DiscreteDistribution":
+    def from_log_weights(cls, support, log_weights) -> "DiscreteDistribution":
         """Normalize unnormalized log-mass via log-sum-exp."""
-        return cls(support, normalize_log_weights(np.asarray(log_weights, dtype=float)), **kw)
+        return cls(support, normalize_log_weights(np.asarray(log_weights, dtype=float)))
 
     @classmethod
-    def from_probs(cls, support, probs, **kw) -> "DiscreteDistribution":
-        return cls(support, probs, **kw)
+    def from_probs(cls, support, probs) -> "DiscreteDistribution":
+        return cls(support, probs)
 
     def prob(self, n: int) -> float:
         """Probability at integer n (0 off support)."""

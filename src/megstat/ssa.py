@@ -78,10 +78,9 @@ def _walk(kp: KineticParams, n: int, rng: np.random.Generator, n_events: int, dr
     the path does not depend on the window.  A frozen state (total rate 0)
     gets up-probability 1, and so does state 0 (d(0) = 0): the walk never
     goes below 0, and the callers cut their path at the first frozen state.
-
-    The overflow ``DomainError`` covers the states of the window being
-    built: it is raised when a rate within two blocks of the walk's current
-    state overflows a double, even if the walk would not have reached it.
+    The walk refuses no rate: a state whose total rate overflows a double gets
+    up-probability 0, or 1 when its birth rate overflows too; the callers
+    judge the states the walk holds.
     """
     lo, up = 0, []
     for done in range(0, n_events, _BLOCK):
@@ -90,13 +89,10 @@ def _walk(kp: KineticParams, n: int, rng: np.random.Generator, n_events: int, dr
             half = 2 * size
             lo = max(n - half, 0)
             states = np.arange(lo, n + half + 1, dtype=float)
-            with np.errstate(over="ignore"):   # an overflow raises the typed error below
+            with np.errstate(over="ignore", invalid="ignore"):
                 birth = birth_rate(states, kp)
-                total = birth + death_rate(states, kp)
-            if not np.isfinite(total).all():
-                raise DomainError("the rates overflow a double within the simulated states")
-            up = np.ones(len(total))
-            np.divide(birth, total, out=up, where=total > 0)
+                up = birth / (birth + death_rate(states, kp))
+            up[np.isnan(up)] = 1.0   # 0/0 at a frozen state, inf/inf past every double
             up = up.tolist()
         u = rng.random((size, draws))
         n -= lo
@@ -123,7 +119,8 @@ def simulate_trajectory(
     state n is -log1p(-u)/total(n).  At most 10^7 events are stored: a
     ``max_events`` that is not an integer in [0, 10^7] is a ``DomainError`` up
     front, and so is a ``max_time`` that a walk of 10^7 events does not reach,
-    or an event time past the largest double before ``max_time``.
+    an event time past the largest double before ``max_time``, or a state the
+    walk holds whose total rate overflows a double.
     """
     if _integer("n_init", n_init) < 0:
         raise DomainError("n_init must be non-negative")
@@ -145,15 +142,18 @@ def simulate_trajectory(
     t = 0.0
     frozen = False
     for u, held, n_end in _walk(kp, int(n_init), _generator(seed), cap_events, 2):
-        rate = birth_rate(held, kp) + death_rate(held, kp)
-        # the block's events end at the first frozen state or past max_time
-        zero = np.flatnonzero(rate == 0.0)
-        keep = zero[0] if len(zero) else len(held)
-        with np.errstate(over="ignore"):   # a time past every double is past max_time, or refused
+        # a rate or a time past every double is refused below, unless it lies past max_time
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate = birth_rate(held, kp) + death_rate(held, kp)
+            # the block's events end at the first frozen state or past max_time
+            zero = np.flatnonzero(rate == 0.0)
+            keep = zero[0] if len(zero) else len(held)
             clock = np.cumsum(np.concatenate(([t], -np.log1p(-u[:keep, 1]) / rate[:keep])))[1:]
         late = np.flatnonzero(clock > cap_time)
         if len(late):
             keep = late[0]
+        if not np.isfinite(rate[:keep]).all():
+            raise DomainError("the rates overflow a double within the simulated states")
         if stored + keep > len(times):
             size = min(2 * len(times), cap_events)
             for a in (times, states):
@@ -221,15 +221,16 @@ def stationary_histogram(
     variance than the time-weighted occupancy of one trajectory.
 
     Before any walk, the chain takes ``stationary_distribution``'s verdict from
-    the same scan: the frozen chain (b(0) = 0) gives its degenerate point mass
-    at 0, and a chain with no law or too large a one raises as there.
+    the same scan, and no other: the frozen chain (b(0) = 0) gives the point
+    mass at 0, and a chain with no law or too large a one raises as there.  A
+    visited state whose total rate overflows a double gets dwell weight 0.
     """
     if not 10_000 <= _integer("n_events", n_events) <= _MAX_EVENTS:
         raise DomainError(f"n_events must lie in [10^4, 10^9], got {n_events!r}")
     if not 0.0 <= burn_in_fraction <= 0.5:
         raise DomainError("burn_in_fraction must lie in [0, 0.5]")
     if len(_stationary_scan(kp, _TAIL_TOL)[1]) == 1:   # the frozen chain
-        return DiscreteDistribution.from_probs([0], [1.0], degenerate=True)
+        return DiscreteDistribution.from_probs([0], [1.0])
     skip = int(burn_in_fraction * n_events)   # the burn-in events not yet walked
 
     counts = np.zeros(0, dtype=np.int64)
@@ -240,7 +241,8 @@ def stationary_histogram(
             counts = visits
         skip = max(skip - len(held), 0)
     support = np.flatnonzero(counts)
-    rate = birth_rate(support, kp) + death_rate(support, kp)
+    with np.errstate(over="ignore"):   # an overflowing rate weighs 0, as in the scan
+        rate = birth_rate(support, kp) + death_rate(support, kp)
     # dwell times relative to the longest one, which stay finite for tiny rates
     weights = counts[support] * (rate.min() / rate)
     return DiscreteDistribution.from_probs(support, weights / weights.sum())

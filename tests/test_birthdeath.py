@@ -210,6 +210,18 @@ class TestStationaryDistribution:
             stationary_distribution(upper_root_law(_MAX_SUPPORT + 1))
         assert sum(chunks) > _MAX_SUPPORT
 
+    @pytest.mark.parametrize("kp", [
+        # the upper root ~1e616 overflows and is left out, so one root, 0, is left
+        KineticParams(k1=1e308, k_m1=1e-308, k2=1, k_m2=1, a=1, volume=1),
+        # k_m1/V underflows to 0, so the quadratic turns linear, with its root at -1e300
+        KineticParams(k1=1, k_m1=5e-324, k2=0, k_m2=1, a=1, volume=1e300),
+    ], ids=["upper-root-overflows", "k_m1-over-V-underflows"])
+    def test_lost_upper_root_is_too_large_up_front(self, kp, no_lattice):
+        assert len(continuous_extremum_roots(kp)) == 1
+        for route in (stationary_distribution, find_extrema):
+            with pytest.raises(SupportTooLarge, match="root is lost"):
+                route(kp)
+
     def test_poisson_within_the_cap_is_left_to_the_scan(self):
         # Poisson(1.95e6) fits in 1,959,836 states: no up-front refusal, and the scan cuts it
         kp = KineticParams(k1=0, k_m1=0, k2=1, k_m2=1.95e6, a=1, volume=1)
@@ -229,7 +241,7 @@ class TestStationaryDistribution:
         # with k2 = 1e200, b^2 of the unscaled quadratic overflows; P(1) is ~1e-200
         d = stationary_distribution(KineticParams(k1=1, k_m1=1, k2=1e200, k_m2=1, a=1, volume=1))
         assert d.support.tolist() == [0, 1]
-        assert d.probs[1] == pytest.approx(1e-200, rel=1e-12)
+        assert d.probs[1] == pytest.approx(1e-200, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("tail_tol", [0.0, 1e-2, math.nan])
     def test_rejects_tail_tol_outside_its_range(self, tail_tol):
@@ -251,7 +263,6 @@ class TestStationaryDistribution:
     def test_empty_chain_degenerates(self):
         d = stationary_distribution(
             KineticParams(k1=1, k_m1=0.5, k2=1, k_m2=0, a=1, volume=1))
-        assert d.degenerate
         assert d.support.tolist() == [0]
         assert d.probs[0] == 1.0
 
@@ -314,7 +325,7 @@ class TestStationaryDistribution:
         # re-entered; here r(n) = 1/n for n >= 1 and P(n) = 1/(e (n-1)!)
         kp = KineticParams(k1=1, k_m1=1, k2=0, k_m2=1, a=1, volume=1)
         d = stationary_distribution(kp)
-        assert d.support[0] == 1 and not d.degenerate
+        assert d.support[0] == 1
         w = [Fraction(1)]
         for n in range(1, int(d.support[-1])):
             w.append(w[-1] * Fraction(birth_rate(n, kp)) / Fraction(death_rate(n + 1, kp)))
@@ -401,7 +412,7 @@ class TestQuadraticRoots:
     def test_small_root_keeps_its_digits(self):
         # x^2 - 1e8 x + 1: the textbook (-b + sqrt(disc))/2a loses the root 1e-8
         lo, hi = _quadratic_roots(1.0, -1e8, 1.0)
-        assert lo == pytest.approx(1e-8, rel=1e-15) and hi == pytest.approx(1e8, rel=1e-15)
+        assert lo == pytest.approx(1e-8, rel=1e-15, abs=0) and hi == pytest.approx(1e8, rel=1e-15)
 
     @pytest.mark.parametrize("a, b, c, roots", [
         (1.0, 0.0, 1.0, ()),                    # negative discriminant

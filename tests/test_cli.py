@@ -248,6 +248,18 @@ class TestStationary:
             assert rc == 1 and out == ""
             assert err.startswith("ERROR SUPPORT_TOO_LARGE:")
 
+    def test_ssa_walks_a_law_whose_rates_overflow_past_it(self, capsys):
+        # d(2) overflows a double, but the law lives on {0, 1} with P(1) ~1e-308
+        flags = ["--k1A", "0", "--km1", "1", "--k2", "1e308", "--km2AV", "1", "--V", "10"]
+        laws = []
+        for argv in (["stationary", *flags], ["ssa", *flags, "--events", "10000"]):
+            rc, out, err = run(argv, capsys)
+            assert rc == 0 and err == ""
+            laws.append(json.loads(out))
+        for law in laws:
+            assert law["support"] == [0, 1]
+            assert law["probs"][1] == pytest.approx(1e-308, rel=1e-12, abs=0)
+
     def test_frozen_chain_is_one_point_mass_in_both_modes(self, capsys):
         flags = [*POISSON3[:-4], "--km2AV", "0", "--V", "1", "--format", "csv"]
         outs = [run([mode, *flags], capsys) for mode in ("stationary", "ssa")]

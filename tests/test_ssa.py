@@ -24,6 +24,8 @@ from megstat.errors import DomainError, MegstatError, NonNormalizable, SupportTo
 
 IMMIGRATION_DEATH = KineticParams(k1=0, k_m1=0, k2=1, k_m2=3, a=1, volume=1)
 BIMODAL = KineticParams(k1=5, k_m1=0.3, k2=2, k_m2=0.1, a=1, volume=1)
+# d(n) overflows a double from n = 2 on, while P(1) is ~1e-308
+OVERFLOW_PAST_ONE = KineticParams(k1=0, k_m1=1, k2=1e308, k_m2=0.1, a=1, volume=10)
 
 
 class TestSimulateTrajectory:
@@ -68,6 +70,13 @@ class TestSimulateTrajectory:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="overflow"):
                 simulate_trajectory(kp, n_init=0, seed=1, max_events=10)
+
+    def test_rates_the_walk_never_holds_are_not_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = simulate_trajectory(OVERFLOW_PAST_ONE, n_init=0, seed=1, max_events=1000)
+        assert len(traj.states) == 1000 and set(traj.states.tolist()) == {0, 1}
+        assert np.all(np.isfinite(traj.event_times)) and not traj.frozen
 
     def test_event_times_that_overflow_a_double(self):
         # the waits out of a state with the smallest subnormal rate pass every double
@@ -217,7 +226,29 @@ class TestStationaryHistogram:
     def test_frozen_chain_is_the_point_mass_at_zero(self):
         kp = KineticParams(k1=0, k_m1=0, k2=1, k_m2=0, a=1, volume=1)
         h = stationary_histogram(kp, seed=1, n_events=20_000)
-        assert h.degenerate and h.support.tolist() == [0] and h.probs.tolist() == [1.0]
+        assert h.support.tolist() == [0] and h.probs.tolist() == [1.0]
+
+    def test_a_rate_the_walk_never_holds_is_not_refused(self):
+        # d(2) = 1e308 * 2 overflows, but P(1) is ~1e-308, so the walk holds only 0 and 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = stationary_histogram(OVERFLOW_PAST_ONE, seed=1, n_events=10_000)
+        law = stationary_distribution(OVERFLOW_PAST_ONE)
+        assert h.support.tolist() == law.support.tolist() == [0, 1]
+        assert h.probs[1] == pytest.approx(law.probs[1], rel=1e-12, abs=0)
+        assert h.probs[1] == pytest.approx(1e-308, rel=1e-12, abs=0)
+
+    def test_an_overflowing_rate_the_walk_holds_weighs_nothing(self):
+        # d(2) = 1e308 * 2 overflows: the scan gives P(2) = 0 through log b - log d,
+        # and the walk, which visits 2, gives it dwell weight 0
+        kp = KineticParams(k1=0, k_m1=1e308, k2=1, k_m2=1, a=1, volume=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = stationary_histogram(kp, seed=1, n_events=10_000)
+        law = stationary_distribution(kp)
+        assert h.support.tolist() == law.support.tolist() == [0, 1, 2]
+        assert h.probs[2] == law.probs[2] == 0.0
+        assert total_variation(h, law) < 0.05
 
     @pytest.mark.parametrize("burn_in", [-0.1, 0.6, float("nan")])
     def test_validates_burn_in(self, burn_in):
@@ -345,6 +376,8 @@ _GATE_RATE = st.one_of(st.just(0.0), st.floats(-3.0, 7.0).map(lambda e: 10.0 ** 
 @example(k1=0, k_m1=0, k2=1, k_m2=1e7, volume=1)       # Poisson(1e7)
 @example(k1=1, k_m1=1e-7, k2=0.5, k_m2=1, volume=1)    # upper extremum root 5e6
 @example(k1=1, k_m1=1, k2=1, k_m2=1, volume=1.999e6)   # root under the cap, cut past it
+@example(k1=1e308, k_m1=1e-308, k2=1, k_m2=1, volume=1)   # upper root overflows, lost
+@example(k1=1, k_m1=5e-324, k2=0, k_m2=1, volume=1e300)   # k_m1/V underflows: one root
 def test_histogram_keeps_the_gate_of_the_analytic_law(k1, k_m1, k2, k_m2, volume):
     kp = KineticParams(k1=k1, k_m1=k_m1, k2=k2, k_m2=k_m2, a=1, volume=volume)
     try:
@@ -358,8 +391,9 @@ def test_histogram_keeps_the_gate_of_the_analytic_law(k1, k_m1, k2, k_m2, volume
         except (_Walked, MegstatError) as exc:
             hist = exc
     assert isinstance(hist, NonNormalizable) == isinstance(law, NonNormalizable)
-    frozen = isinstance(law, DiscreteDistribution) and law.degenerate
-    assert (isinstance(hist, DiscreteDistribution) and hist.degenerate) == frozen
+    # only the frozen chain has a law on the single state 0
+    frozen = isinstance(law, DiscreteDistribution) and law.support.tolist() == [0]
+    assert (isinstance(hist, DiscreteDistribution) and hist.support.tolist() == [0]) == frozen
     if frozen:
         for field in dataclasses.fields(law):
             a, b = getattr(hist, field.name), getattr(law, field.name)
