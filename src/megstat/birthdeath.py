@@ -91,7 +91,9 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
     (up to the one root, the mode, when k_m1 = 0), and the cut N needs
     r(N-1) < 1 on the ratio's decreasing branch, so no cut can hold once the
     larger root passes m = _MAX_SUPPORT + 2 (the margin absorbs rounding), or
-    once r(m) >= 1 when k_m1 > 0 leaves one root (the other was lost).  With
+    once b(m) >= d(m+1) when k_m1 > 0 leaves one root (the other was lost);
+    only then, as b(m) and d(m+1) may both overflow on a law the scan cuts
+    after a few states, and inf >= inf says nothing of the roots.  With
     k_m1 = 0 the law is negative binomial, r = c/(k1*A) with c = k_m2*A*V and
     rho = k1*A/k2 < 1 (Poisson(lam = c/k2) when k1*A = 0).  Every ratio past m
     is at least rho_m = rho*min(1, (m+r)/(m+1)), so the mass at m and above is

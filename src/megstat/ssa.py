@@ -79,8 +79,8 @@ def _walk(kp: KineticParams, n: int, rng: np.random.Generator, n_events: int, dr
     gets up-probability 1, and so does state 0 (d(0) = 0): the walk never
     goes below 0, and the callers cut their path at the first frozen state.
     The walk refuses no rate: a state whose total rate overflows a double gets
-    up-probability 0, or 1 when its birth rate overflows too; the callers
-    judge the states the walk holds.
+    up-probability 0, or 1 when its birth rate overflows too, which is wrong
+    where both rates are finite, so the callers judge the states the walk holds.
     """
     lo, up = 0, []
     for done in range(0, n_events, _BLOCK):
@@ -221,9 +221,11 @@ def stationary_histogram(
     variance than the time-weighted occupancy of one trajectory.
 
     Before any walk, the chain takes ``stationary_distribution``'s verdict from
-    the same scan, and no other: the frozen chain (b(0) = 0) gives the point
-    mass at 0, and a chain with no law or too large a one raises as there.  A
-    visited state whose total rate overflows a double gets dwell weight 0.
+    the same scan: the frozen chain (b(0) = 0) gives the point mass at 0, and a
+    chain with no law or too large a one raises as there.  A held state whose
+    death rate overflows a double gets dwell weight 0, as the scan gives it
+    P = 0; one whose rates are finite but whose total overflows, where the
+    walk's b/(b+d) reads 0, is a ``DomainError``.
     """
     if not 10_000 <= _integer("n_events", n_events) <= _MAX_EVENTS:
         raise DomainError(f"n_events must lie in [10^4, 10^9], got {n_events!r}")
@@ -234,15 +236,24 @@ def stationary_histogram(
     skip = int(burn_in_fraction * n_events)   # the burn-in events not yet walked
 
     counts = np.zeros(0, dtype=np.int64)
+    top = 0   # the highest state held in the burn-in
     for _, held, _ in _walk(kp, 0, _generator(seed), int(n_events), 1):
+        if skip:
+            top = max(top, held[:skip].max())
         if skip < len(held):
             visits = np.bincount(held[skip:], minlength=len(counts))
             visits[:len(counts)] += counts
             counts = visits
         skip = max(skip - len(held), 0)
     support = np.flatnonzero(counts)
-    with np.errstate(over="ignore"):   # an overflowing rate weighs 0, as in the scan
-        rate = birth_rate(support, kp) + death_rate(support, kp)
+    # the walk starts at 0 and moves by one, so it held every state up to the highest
+    states = np.arange(max(top, support[-1]) + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        death = death_rate(states, kp)
+        rate = birth_rate(states, kp) + death
+    if not np.isfinite(rate[np.isfinite(death)]).all():
+        raise DomainError("the rates overflow a double within the simulated states")
+    rate = rate[support]   # a death rate past every double weighs 0, as in the scan
     # dwell times relative to the longest one, which stay finite for tiny rates
     weights = counts[support] * (rate.min() / rate)
     return DiscreteDistribution.from_probs(support, weights / weights.sum())

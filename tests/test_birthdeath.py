@@ -222,6 +222,18 @@ class TestStationaryDistribution:
             with pytest.raises(SupportTooLarge, match="root is lost"):
                 route(kp)
 
+    @pytest.mark.parametrize("kp, support", [
+        # two roots, -0.99999 and ~1e-308; d(2) overflows, so the scan cuts at 2
+        (KineticParams(k1=1e303, k_m1=1e308, k2=0, k_m2=1, a=1, volume=1), [1, 2]),
+        # k_m1 = 0: the one root is the mode, -2, and rho = 1/2
+        (KineticParams(k1=1e303, k_m1=0, k2=2e303, k_m2=1, a=1, volume=1), [0, 1]),
+    ], ids=["two-roots", "k_m1-zero"])
+    def test_rates_past_every_double_at_the_cap_are_left_to_the_scan(self, kp, support):
+        # b(m) >= d(m + 1) holds as inf >= inf, which is no sign of a lost root
+        m = _MAX_SUPPORT + 2
+        assert birth_rate(m, kp) == death_rate(m + 1, kp) == math.inf
+        assert stationary_distribution(kp).support.tolist() == support
+
     def test_poisson_within_the_cap_is_left_to_the_scan(self):
         # Poisson(1.95e6) fits in 1,959,836 states: no up-front refusal, and the scan cuts it
         kp = KineticParams(k1=0, k_m1=0, k2=1, k_m2=1.95e6, a=1, volume=1)

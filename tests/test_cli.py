@@ -260,6 +260,13 @@ class TestStationary:
             assert law["support"] == [0, 1]
             assert law["probs"][1] == pytest.approx(1e-308, rel=1e-12, abs=0)
 
+    def test_ssa_refuses_a_total_rate_that_overflows_between_finite_rates(self, capsys):
+        # Poisson(1) with b(1) = d(1) = 1e308: b + d overflows at a state the walk holds
+        flags = ["--k1A", "0", "--km1", "0", "--k2", "1e308", "--km2AV", "1e308", "--V", "1"]
+        rc, out, err = run(["ssa", *flags, "--events", "10000"], capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith("ERROR DOMAIN_ERROR: the rates overflow a double")
+
     def test_frozen_chain_is_one_point_mass_in_both_modes(self, capsys):
         flags = [*POISSON3[:-4], "--km2AV", "0", "--V", "1", "--format", "csv"]
         outs = [run([mode, *flags], capsys) for mode in ("stationary", "ssa")]

@@ -250,6 +250,23 @@ class TestStationaryHistogram:
         assert h.probs[2] == law.probs[2] == 0.0
         assert total_variation(h, law) < 0.05
 
+    def test_a_total_rate_that_overflows_between_finite_rates_is_refused(self):
+        # Poisson(1): at state 1, b = d = 1e308 but b + d overflows, so the walk's
+        # b/(b+d) reads 0 where the chain steps up with probability 1/2
+        kp = KineticParams(k1=0, k_m1=0, k2=1e308, k_m2=1e308, a=1, volume=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                stationary_histogram(kp, seed=1, n_events=10_000)
+
+    def test_a_total_rate_that_overflows_in_the_burn_in_is_refused(self):
+        # d(2) = 1.7976e308 and b(2) are finite but their sum overflows; from 1 the
+        # walk steps up with probability ~1e-4, and with seed 1 it holds 2 only in
+        # the burn-in, so no counted state shows the overflow
+        kp = KineticParams(k1=8.988e303, k_m1=0, k2=0.8988e308, k_m2=1e300, a=1, volume=1)
+        with pytest.raises(DomainError, match="overflow"):
+            stationary_histogram(kp, seed=1, n_events=10_000, burn_in_fraction=0.5)
+
     @pytest.mark.parametrize("burn_in", [-0.1, 0.6, float("nan")])
     def test_validates_burn_in(self, burn_in):
         with pytest.raises(DomainError):
