@@ -27,13 +27,16 @@ from .errors import (
 
 _TAIL_TOL = 1e-12                          # the default; find_extrema always scans at it
 _BOUNDARY_TOL = _CONSERVATION_TOL = 1e-9   # transient_evolve's error bounds
-# transient_evolve refuses a t_grid whose RK4 steps times (n_max + 1 + _STEP_STATES)
-# pass _MAX_TRANSIENT_WORK.  A step's fixed numpy overhead costs about 1000 states
-# (~12 us a step at n_max = 40, 11-37 ns a state past 3000, shared 2-vCPU x86-64
-# host); at 3-9e7 state-steps a second the cap is half a minute to two minutes,
-# like stationary_histogram's event cap.  The n_max = 40, t = 30 test needs 2.7e8.
+# transient_evolve steps by the Taylor polynomial of e^(hQ) of degree _DEGREE,
+# with h ||Q||_1 <= _THETA, the Al-Mohy-Higham bound for that degree at 2^-53
+_DEGREE, _THETA = 30, 3.54
+# transient_evolve refuses a t_grid whose Taylor products times (n_max + 1 + _STEP_STATES)
+# pass _MAX_TRANSIENT_WORK.  A product's fixed numpy overhead costs about 1000 states
+# (~3.4 us a product at n_max = 40, 3.4-6.7 ns a state past 3000, shared 2-vCPU
+# x86-64 host); at 1.5-4e8 state-products a second the cap is half a minute to two
+# minutes, like stationary_histogram's event cap.  The n_max = 40, t = 30 test needs 4.6e8.
 _STEP_STATES = 1000
-_MAX_TRANSIENT_WORK = 3e9
+_MAX_TRANSIENT_WORK = 1.5e10
 # transient_evolve also refuses a t_grid whose laws, len(t_grid) * (n_max + 1)
 # probabilities, pass _MAX_STORED_STATES, which bounds a call's memory as
 # ssa._MAX_STORED does: 8 B a probability (the laws share one support array),
@@ -101,7 +104,9 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
     at m = _MAX_SUPPORT + 2.
 
     Then the product runs in doubling chunks of array arithmetic, under one
-    ``np.errstate``; a ratio of 0 or inf takes its exact log, log b - log d.
+    ``np.errstate``; a ratio of 0 or inf takes its exact log, log b - log d,
+    and where b or d overflows, both are taken from the rate constants scaled
+    by one power of two, which leaves the ratio as it is.
     N is the first state past lo where r(N-1) < 1, the ratio is on its
     decreasing branch (k_m1 > 0: r(N) <= r(N-1), as the ratio is unimodal in
     n; k_m1 = 0: it tends monotonically to k1*A/k2), and the geometric bound
@@ -156,6 +161,16 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
         log_r[0] += last
         logw = np.cumsum(log_r)
         if not math.isfinite(logw[-1]):   # a ratio of 0 or inf takes its exact log
+            # where a rate overflows, both rates come from the rate constants scaled
+            # by one power of two, the largest to [1/2, 1): the ratio is unchanged
+            over = np.isinf(b) | np.isinf(d)
+            e = -math.frexp(max(kp.k1, kp.k_m1, kp.k2, kp.k_m2))[1]
+            small = KineticParams(*(math.ldexp(x, e) for x in (kp.k1, kp.k_m1, kp.k2, kp.k_m2)),
+                                  a=kp.a, volume=kp.volume)
+            b = np.where(over, birth_rate(n, small), b)
+            d = np.where(over, death_rate(n + 1, small), d)
+            r = b / d
+            r_prev, r_next = r[:-1], r[1:]
             log_r = np.where(np.isinf(r_prev) | (r_prev == 0),
                              np.log(b[:-1]) - np.log(d[:-1]), np.log(r_prev))
             log_r[0] += last
@@ -310,23 +325,30 @@ def detailed_balance_gap(kp: KineticParams) -> float:
 
 
 def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n_max: int) -> list:
-    """Integrate the probability-flow equations on the truncated lattice 0..n_max.
+    """Solve the probability-flow equations p' = Qp on the truncated lattice 0..n_max.
 
-    Classic fixed-step 4th-order Runge-Kutta; the step is set from the
-    fastest total rate on the lattice, the one at n_max, as both rates grow
-    with n.  Q is constant, so one step of size h is exactly the polynomial
-    p + hQp + (hQ)^2 p/2 + (hQ)^3 p/6 + (hQ)^4 p/24, evaluated by Horner's
-    rule: v <- p + (h/k) Q v for k = 4, 3, 2, 1, starting from v = p, with
-    Q's three diagonals scaled by h/k once per span.  The upper boundary
-    leaks (mass past n_max is dropped, never reflected or renormalized);
-    mass above 1e-9 at n_max (``TruncationBreach``) or a drift of the total
-    beyond 1e-9 (``StepFailure``) is an error, not a silent fix.
+    Q is constant, so a step of length h is p <- e^(hQ) p.  Each step takes
+    the degree-30 Taylor polynomial of e^(hQ), evaluated by Horner's rule:
+    v <- p + (1/k) hQ v for k = 30, ..., 1, starting from v = p, with Q's
+    three diagonals scaled by h once per span.  Each span is cut into the
+    fewest equal steps with h ||Q||_1 <= 3.54, where ||Q||_1 <= 2 (b + d)(n_max)
+    as both rates grow with n.  That is the Al-Mohy-Higham bound for degree 30
+    at 2^-53 (SIAM J. Sci. Comput. 33, 488, 2011): a step's truncation error
+    is at most sum_{k>30} 3.54^k/k! = 1.4e-17 in the 1-norm, and rounding grows
+    at most e^3.54 ~ 35-fold, so every step is exact to double precision.
+    The degree stays at 30, with no early stop: degree 55 or the Al-Mohy-Higham
+    early stop would take fewer products, but the benchmark's peak-RSS metric
+    still grows with the operations a run makes (ROADMAP item 9).
+
+    The upper boundary leaks (mass past n_max is dropped, never reflected or
+    renormalized); mass above 1e-9 at n_max (``TruncationBreach``) or a drift
+    of the total beyond 1e-9 (``StepFailure``) is an error, not a silent fix.
 
     Before any lattice is built, an ``n_max`` past 2,000,000 raises
     ``SupportTooLarge``, and a ``DomainError`` is raised when the laws to
     return, len(t_grid) * (n_max + 1) probabilities, pass _MAX_STORED_STATES,
-    when a rate at n_max overflows a double, or when the steps the grid needs,
-    times n_max + 1 + _STEP_STATES, pass _MAX_TRANSIENT_WORK.
+    when a rate at n_max overflows a double, or when the Taylor products the
+    grid needs, times n_max + 1 + _STEP_STATES, pass _MAX_TRANSIENT_WORK.
     """
     t_grid = [float(t) for t in t_grid]
     if not all(0 <= t < math.inf for t in t_grid) or any(
@@ -344,12 +366,14 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     max_rate = birth_rate(n_max, kp) + death_rate(n_max, kp)
     if max_rate == math.inf:
         raise DomainError(f"the rates overflow a double at n_max={n_max}")
-    dt_cap = 0.1 / max_rate if max_rate > 0 else math.inf
     spans = [t2 - t1 for t1, t2 in zip([0.0, *t_grid], t_grid)]
-    # each span's step count, kept a float until the cap is checked: it may be inf
-    steps = [max(1.0, span / dt_cap) if span > 0 and max_rate > 0 else 0.0 for span in spans]
-    if sum(steps) * (n_max + 1 + _STEP_STATES) > _MAX_TRANSIENT_WORK:
-        raise DomainError(f"t_grid needs {sum(steps):.3g} RK4 steps on {n_max + 1} states, "
+    # each span's step count, kept a float until the cap is checked: it may be inf;
+    # every column of Q sums to at most 2 * max_rate in absolute value
+    steps = [max(1.0, span * 2 * max_rate / _THETA) if span > 0 and max_rate > 0 else 0.0
+             for span in spans]
+    products = sum(steps) * _DEGREE
+    if products * (n_max + 1 + _STEP_STATES) > _MAX_TRANSIENT_WORK:
+        raise DomainError(f"t_grid needs {products:.3g} Taylor products on {n_max + 1} states, "
                           f"more work than the cap of {_MAX_TRANSIENT_WORK:g} allows")
 
     states = np.arange(n_max + 1)
@@ -361,19 +385,18 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     p = np.zeros(n_max + 1)
     p[initial.support] = initial.probs
 
-    results, levels = [], []
+    results = []
     for t, span, n_steps in zip(t_grid, spans, map(math.ceil, steps)):
         if n_steps:
-            # the Horner levels v <- p + (h/k) Q v, k = 4, 3, 2, 1: Q's diagonals
-            # scaled once per span, after the last span's levels are let go
-            levels.clear()
-            levels += [[span / n_steps / k * x for x in diagonals] for k in (4, 3, 2, 1)]
+            out, up, down = (span / n_steps * x for x in diagonals)
         for _ in range(n_steps):
             v = p
-            for out, up, down in levels:
+            for k in range(_DEGREE, 0, -1):
+                # v <- p + (1/k) hQ v
                 w = out * v
                 w[1:] += up * v[:-1]
                 w[:-1] += down * v[1:]
+                w *= 1 / k
                 w += p
                 v = w
             p = v

@@ -223,9 +223,9 @@ def stationary_histogram(
     Before any walk, the chain takes ``stationary_distribution``'s verdict from
     the same scan: the frozen chain (b(0) = 0) gives the point mass at 0, and a
     chain with no law or too large a one raises as there.  A held state whose
-    death rate overflows a double gets dwell weight 0, as the scan gives it
-    P = 0; one whose rates are finite but whose total overflows, where the
-    walk's b/(b+d) reads 0, is a ``DomainError``.
+    death rate overflows a double gets dwell weight 0; one whose rates are
+    finite but whose total overflows, where the walk's b/(b+d) reads 0, is a
+    ``DomainError``.
     """
     if not 10_000 <= _integer("n_events", n_events) <= _MAX_EVENTS:
         raise DomainError(f"n_events must lie in [10^4, 10^9], got {n_events!r}")
@@ -253,7 +253,7 @@ def stationary_histogram(
         rate = birth_rate(states, kp) + death
     if not np.isfinite(rate[np.isfinite(death)]).all():
         raise DomainError("the rates overflow a double within the simulated states")
-    rate = rate[support]   # a death rate past every double weighs 0, as in the scan
+    rate = rate[support]   # a death rate past every double weighs 0
     # dwell times relative to the longest one, which stay finite for tiny rates
     weights = counts[support] * (rate.min() / rate)
     return DiscreteDistribution.from_probs(support, weights / weights.sum())

@@ -223,8 +223,9 @@ class TestStationaryDistribution:
                 route(kp)
 
     @pytest.mark.parametrize("kp, support", [
-        # two roots, -0.99999 and ~1e-308; d(2) overflows, so the scan cuts at 2
-        (KineticParams(k1=1e303, k_m1=1e308, k2=0, k_m2=1, a=1, volume=1), [1, 2]),
+        # two roots, -0.99999 and ~1e-308; d(2) overflows, and r(1) = 5e-6 comes
+        # from the rates scaled by a power of two, so the scan cuts at 3
+        (KineticParams(k1=1e303, k_m1=1e308, k2=0, k_m2=1, a=1, volume=1), [1, 2, 3]),
         # k_m1 = 0: the one root is the mode, -2, and rho = 1/2
         (KineticParams(k1=1e303, k_m1=0, k2=2e303, k_m2=1, a=1, volume=1), [0, 1]),
     ], ids=["two-roots", "k_m1-zero"])
@@ -233,6 +234,18 @@ class TestStationaryDistribution:
         m = _MAX_SUPPORT + 2
         assert birth_rate(m, kp) == death_rate(m + 1, kp) == math.inf
         assert stationary_distribution(kp).support.tolist() == support
+
+    def test_rates_near_the_largest_double_keep_their_ratios(self):
+        # Poisson(1) with b = 1e308 and d(n) = 1e308 n: d(2) overflows, but the
+        # ratios 1/(n + 1) are those of the chain with both constants 1
+        huge = stationary_distribution(KineticParams(k1=0, k_m1=0, k2=1e308, k_m2=1e308, a=1, volume=1))
+        unit = stationary_distribution(KineticParams(k1=0, k_m1=0, k2=1, k_m2=1, a=1, volume=1))
+        assert huge.support.tolist() == unit.support.tolist()
+        assert np.array_equal(huge.probs, unit.probs)
+        n = huge.support
+        poisson = np.exp(-np.array([math.lgamma(k + 1) for k in n]))
+        # Poisson(1) on the certified support, which drops less than 1e-12
+        assert np.max(np.abs(huge.probs - poisson / poisson.sum())) <= 1e-15
 
     def test_poisson_within_the_cap_is_left_to_the_scan(self):
         # Poisson(1.95e6) fits in 1,959,836 states: no up-front refusal, and the scan cuts it
@@ -494,19 +507,21 @@ class TestDetailedBalanceGap:
             assert total_variation(d, poisson_distribution(xbar * v)) < 1e-10
 
 
-def _uniformized(kp, t_grid, n_max):
-    """Exact laws from the empty state on the leaky lattice 0..n_max, by uniformization.
+def _uniformized(kp, initial, t_grid, n_max):
+    """Exact laws from ``initial`` on the leaky lattice 0..n_max, by uniformization.
 
-    With lam the largest total rate, P = I + Q/lam has non-negative entries, and the law
-    after a time tau is sum_k e^(-lam tau) (lam tau)^k / k! P^k p: a sum of non-negative
-    terms.  Each span is cut into pieces with lam tau <= 30, so e^(-lam tau) stays normal,
-    and a piece's sum stops once its Poisson weights pass their mode and fall below 1e-18.
+    With lam the largest total rate (> 0), P = I + Q/lam has non-negative entries, and
+    the law after a time tau is sum_k e^(-lam tau) (lam tau)^k / k! P^k p: a sum of
+    non-negative terms.  Each span is cut into pieces with lam tau <= 30, so e^(-lam tau)
+    stays normal, and a piece's sum stops once its Poisson weights pass their mode and
+    fall below 1e-18.
     """
     n = np.arange(n_max + 1)
     b, d = birth_rate(n, kp), death_rate(n, kp)
     lam = float(np.max(b + d))
     stay, up, down = (lam - (b + d)) / lam, b[:-1] / lam, d[1:] / lam
-    p = (n == 0).astype(float)
+    p = np.zeros(n_max + 1)
+    p[initial.support] = initial.probs
     laws = []
     for span in np.diff([0.0, *t_grid]):
         pieces = max(1, math.ceil(lam * span / 30))
@@ -535,8 +550,8 @@ class TestTransientEvolve:
     def test_matches_uniformization(self, kp, t_grid, n_max):
         init = DiscreteDistribution.from_probs([0], [1.0])
         laws = transient_evolve(kp, init, t_grid, n_max=n_max)
-        for t, d, ref in zip(t_grid, laws, _uniformized(kp, t_grid, n_max)):
-            assert np.max(np.abs(d.probs - ref)) <= 1e-9, t
+        for t, d, ref in zip(t_grid, laws, _uniformized(kp, init, t_grid, n_max)):
+            assert np.max(np.abs(d.probs - ref)) <= 1e-12, t
 
     def test_immigration_death_mean_relaxation(self):
         # from the empty state the law stays Poisson with mean 3 (1 - e^-t), at every state
@@ -549,7 +564,24 @@ class TestTransientEvolve:
             mean = 3.0 * -math.expm1(-t)
             assert d.mean() == pytest.approx(mean, abs=1e-6)
             assert abs(d.probs.sum() - 1.0) < 1e-12
-            assert np.max(np.abs(d.probs - np.exp(n * math.log(mean) - mean - log_factorial))) <= 1e-9
+            assert np.max(np.abs(d.probs - np.exp(n * math.log(mean) - mean - log_factorial))) <= 1e-13
+
+    def test_linear_birth_death_matches_kendall(self):
+        # b = lam n + nu, d = mu n: from the empty state X(t) is negative binomial with
+        # r = nu/lam and q(t) = lam (e^((lam-mu)t) - 1)/(lam e^((lam-mu)t) - mu)
+        # (Kendall, Ann. Math. Stat. 19, 1, 1948)
+        lam, mu, nu = 0.8, 1.0, 4.0
+        kp = KineticParams(k1=lam, k_m1=0, k2=mu, k_m2=nu, a=1, volume=1)
+        init = DiscreteDistribution.from_probs([0], [1.0])
+        t_grid = [0.5, 1.0, 2.0, 5.0, 10.0]
+        n = np.arange(201)
+        r = nu / lam
+        log_binom = np.array([math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1) for k in n])
+        for t, d in zip(t_grid, transient_evolve(kp, init, t_grid, n_max=200)):
+            grow = math.expm1((lam - mu) * t)
+            q = lam * grow / (lam * grow + lam - mu)
+            law = np.exp(log_binom + n * math.log(q) + r * math.log1p(-q))
+            assert np.max(np.abs(d.probs - law)) <= 1e-13, t
 
     def test_long_horizon_reaches_stationarity(self):
         init = DiscreteDistribution.from_probs([0], [1.0])
@@ -587,9 +619,9 @@ class TestTransientEvolve:
     @pytest.mark.parametrize("kp, t_grid, n_max, error, match", [
         (IMMIGRATION_DEATH, [1.0], 10**12, SupportTooLarge, "past 2000000 states"),
         (IMMIGRATION_DEATH, [1.0], _MAX_SUPPORT + 1, SupportTooLarge, "past 2000000 states"),
-        (IMMIGRATION_DEATH, [1e300], 40, DomainError, "RK4 steps"),
-        (IMMIGRATION_DEATH, [1.0, 1.7e308], 40, DomainError, "RK4 steps"),   # inf steps
-        (DETAILED_BALANCE, [1.0, 2600.0], 40, DomainError, "RK4 steps"),
+        (IMMIGRATION_DEATH, [1e300], 40, DomainError, "Taylor products"),
+        (IMMIGRATION_DEATH, [1.0, 1.7e308], 40, DomainError, "Taylor products"),   # inf steps
+        (DETAILED_BALANCE, [1.0, 2600.0], 40, DomainError, "Taylor products"),
         (KineticParams(k1=0, k_m1=1e308, k2=1, k_m2=3, a=1, volume=1), [1.0], 100,
          DomainError, "overflow"),
         # every rate 0: no step at all, but 200 laws of 100,001 states to store
@@ -652,7 +684,7 @@ def test_law_and_extrema_are_finite_or_a_typed_error(kp):
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
 def test_transient_laws_are_normalized_or_a_typed_error(rates, volume, n_max, n_init, reach,
                                                         fractions):
-    # t_end * max_rate <= 200 keeps the integration to at most ~2000 steps
+    # t_end * max_rate <= 200 keeps the solve to at most 113 Taylor steps
     kp = KineticParams(*rates, a=1, volume=volume)
     states = np.arange(n_max + 1)
     max_rate = float(np.max(birth_rate(states, kp) + death_rate(states, kp)))
@@ -666,6 +698,10 @@ def test_transient_laws_are_normalized_or_a_typed_error(rates, volume, n_max, n_
     for d in laws:
         assert d.support.tolist() == states.tolist()
         assert np.all(np.isfinite(d.probs)) and abs(d.probs.sum() - 1.0) <= 1e-12
+    if max_rate > 0:
+        # each law is rescaled to sum to 1 after at most 1e-9 leaked past n_max
+        for d, ref in zip(laws, _uniformized(kp, init, t_grid, n_max)):
+            assert np.max(np.abs(d.probs - ref / ref.sum())) <= 1e-12
 
 
 def test_incompatible_rates_break_poisson_criterion():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -259,6 +260,20 @@ class TestStationary:
         for law in laws:
             assert law["support"] == [0, 1]
             assert law["probs"][1] == pytest.approx(1e-308, rel=1e-12, abs=0)
+
+    def test_stationary_keeps_the_ratios_of_rates_near_the_largest_double(self, capsys):
+        # Poisson(1) with b(1) = d(1) = 1e308: d(2) overflows, yet the law is the
+        # one the same chain gives with both constants 1
+        laws = []
+        for scale in ("1e308", "1"):
+            flags = ["--k1A", "0", "--km1", "0", "--k2", scale, "--km2AV", scale, "--V", "1"]
+            rc, out, err = run(["stationary", *flags], capsys)
+            assert rc == 0 and err == ""
+            laws.append(json.loads(out))
+        assert laws[0]["support"] == laws[1]["support"] == list(range(15))
+        poisson = [math.exp(-math.lgamma(k + 1)) for k in laws[0]["support"]]
+        assert max(abs(p - q / sum(poisson)) for p, q in zip(laws[0]["probs"], poisson)) <= 1e-15
+        assert laws[0]["probs"] == laws[1]["probs"]
 
     def test_ssa_refuses_a_total_rate_that_overflows_between_finite_rates(self, capsys):
         # Poisson(1) with b(1) = d(1) = 1e308: b + d overflows at a state the walk holds

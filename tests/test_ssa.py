@@ -239,15 +239,16 @@ class TestStationaryHistogram:
         assert h.probs[1] == pytest.approx(1e-308, rel=1e-12, abs=0)
 
     def test_an_overflowing_rate_the_walk_holds_weighs_nothing(self):
-        # d(2) = 1e308 * 2 overflows: the scan gives P(2) = 0 through log b - log d,
-        # and the walk, which visits 2, gives it dwell weight 0
+        # d(2) = 1e308 * 2 overflows: the walk, which visits 2, gives it dwell weight
+        # 0, and the scan P(2) = P(1) b(1)/d(2) = 0.5/(2e308 + 2), a subnormal
         kp = KineticParams(k1=0, k_m1=1e308, k2=1, k_m2=1, a=1, volume=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             h = stationary_histogram(kp, seed=1, n_events=10_000)
         law = stationary_distribution(kp)
         assert h.support.tolist() == law.support.tolist() == [0, 1, 2]
-        assert h.probs[2] == law.probs[2] == 0.0
+        assert h.probs[2] == 0.0
+        assert law.probs[2] == pytest.approx(2.5e-309, rel=1e-12, abs=0)
         assert total_variation(h, law) < 0.05
 
     def test_a_total_rate_that_overflows_between_finite_rates_is_refused(self):
