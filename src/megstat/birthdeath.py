@@ -27,14 +27,18 @@ from .errors import (
 
 _TAIL_TOL = 1e-12                          # the default; find_extrema always scans at it
 _BOUNDARY_TOL = _CONSERVATION_TOL = 1e-9   # transient_evolve's error bounds
-# transient_evolve steps by the Taylor polynomial of e^(hQ) of degree _DEGREE,
-# with h ||Q||_1 <= _THETA, the Al-Mohy-Higham bound for that degree at 2^-53
+# transient_evolve steps by Taylor polynomials of e^(hQ) of degree at most _DEGREE,
+# with x = h ||Q||_1 <= _THETA, the Al-Mohy-Higham bound for that degree at 2^-53.
+# The degree-m polynomial is off by at most x^(m+1)/(m+1)! / (1 - x/(m+2)) in the
+# 1-norm; _TAIL is that bound at _DEGREE and _THETA, 1.43e-17
 _DEGREE, _THETA = 30, 3.54
+_TAIL = _THETA ** (_DEGREE + 1) / math.factorial(_DEGREE + 1) / (1 - _THETA / (_DEGREE + 2))
 # transient_evolve refuses a t_grid whose Taylor products times (n_max + 1 + _STEP_STATES)
 # pass _MAX_TRANSIENT_WORK.  A product's fixed numpy overhead costs about 1000 states
-# (~3.4 us a product at n_max = 40, 3.4-6.7 ns a state past 3000, shared 2-vCPU
-# x86-64 host); at 1.5-4e8 state-products a second the cap is half a minute to two
-# minutes, like stationary_histogram's event cap.  The n_max = 40, t = 30 test needs 4.6e8.
+# (~3.4 us a product at n_max = 40; 2.6-6.7 ns a state-product from n_max = 40 to
+# 2,000,000, shared 2-vCPU x86-64 host); at 1.5-3.9e8 state-products a second the cap
+# is 38 to 100 seconds, like stationary_histogram's event cap.  The n_max = 40, t = 30
+# test needs 4.6e8.
 _STEP_STATES = 1000
 _MAX_TRANSIENT_WORK = 1.5e10
 # transient_evolve also refuses a t_grid whose laws, len(t_grid) * (n_max + 1)
@@ -324,21 +328,36 @@ def detailed_balance_gap(kp: KineticParams) -> float:
     return abs(kp.k1 * kp.a / kp.k_m1 - kp.k_m2 * kp.a / kp.k2)
 
 
+def _taylor_degree(x: float) -> int:
+    """The lowest degree m <= _DEGREE whose Taylor step, at x = h ||Q||_1, is off by at most _TAIL."""
+    term = x   # x^(m+1)/(m+1)!
+    for m in range(_DEGREE):
+        if term <= _TAIL * (1 - x / (m + 2)):
+            return m
+        term *= x / (m + 2)
+    return _DEGREE
+
+
 def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n_max: int) -> list:
     """Solve the probability-flow equations p' = Qp on the truncated lattice 0..n_max.
 
     Q is constant, so a step of length h is p <- e^(hQ) p.  Each step takes
-    the degree-30 Taylor polynomial of e^(hQ), evaluated by Horner's rule:
-    v <- p + (1/k) hQ v for k = 30, ..., 1, starting from v = p, with Q's
-    three diagonals scaled by h once per span.  Each span is cut into the
-    fewest equal steps with h ||Q||_1 <= 3.54, where ||Q||_1 <= 2 (b + d)(n_max)
+    a Taylor polynomial of e^(hQ) of degree m <= 30, evaluated by Horner's
+    rule: v <- p + (1/k) hQ v for k = m, ..., 1, starting from v = p, with
+    Q's three diagonals scaled by h once per span.  Each span is cut into the
+    fewest equal steps with x = h ||Q||_1 <= 3.54, where ||Q||_1 <= 2 (b + d)(n_max)
     as both rates grow with n.  That is the Al-Mohy-Higham bound for degree 30
-    at 2^-53 (SIAM J. Sci. Comput. 33, 488, 2011): a step's truncation error
-    is at most sum_{k>30} 3.54^k/k! = 1.4e-17 in the 1-norm, and rounding grows
-    at most e^3.54 ~ 35-fold, so every step is exact to double precision.
-    The degree stays at 30, with no early stop: degree 55 or the Al-Mohy-Higham
-    early stop would take fewer products, but the benchmark's peak-RSS metric
-    still grows with the operations a run makes (ROADMAP item 9).
+    at 2^-53 (SIAM J. Sci. Comput. 33, 488, 2011).  A span's degree is the
+    lowest whose truncation error, at most x^(m+1)/(m+1)! / (1 - x/(m+2)) in
+    the 1-norm, stays within that bound at degree 30 and x = 3.54, 1.43e-17;
+    rounding grows at most e^3.54 ~ 35-fold, so every step is exact to double
+    precision.  A span of several steps keeps x near 3.54 and a degree near
+    30 (24 at x = 2, 28 at x = 3); a span far shorter than one step, as on a
+    dense output grid, still takes one step, of fewer products (11 at
+    x = 0.2, 6 at x = 0.01).  The degree stops at 30, with no early stop:
+    degree 55 or the Al-Mohy-Higham early stop would take fewer products,
+    but the benchmark's peak-RSS metric still grows with the operations a
+    run makes (ROADMAP item 9).
 
     The upper boundary leaks (mass past n_max is dropped, never reflected or
     renormalized); mass above 1e-9 at n_max (``TruncationBreach``) or a drift
@@ -367,11 +386,13 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     if max_rate == math.inf:
         raise DomainError(f"the rates overflow a double at n_max={n_max}")
     spans = [t2 - t1 for t1, t2 in zip([0.0, *t_grid], t_grid)]
-    # each span's step count, kept a float until the cap is checked: it may be inf;
-    # every column of Q sums to at most 2 * max_rate in absolute value
+    # each span's step count, kept a float until the cap is checked (it may be inf),
+    # and its degree; every column of Q sums to at most 2 * max_rate in absolute value
     steps = [max(1.0, span * 2 * max_rate / _THETA) if span > 0 and max_rate > 0 else 0.0
              for span in spans]
-    products = sum(steps) * _DEGREE
+    degrees = [_taylor_degree(span * 2 * max_rate / math.ceil(s)) if 0 < s < math.inf
+               else _DEGREE for span, s in zip(spans, steps)]
+    products = sum(s * m for s, m in zip(steps, degrees))
     if products * (n_max + 1 + _STEP_STATES) > _MAX_TRANSIENT_WORK:
         raise DomainError(f"t_grid needs {products:.3g} Taylor products on {n_max + 1} states, "
                           f"more work than the cap of {_MAX_TRANSIENT_WORK:g} allows")
@@ -386,12 +407,12 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     p[initial.support] = initial.probs
 
     results = []
-    for t, span, n_steps in zip(t_grid, spans, map(math.ceil, steps)):
+    for t, span, n_steps, degree in zip(t_grid, spans, map(math.ceil, steps), degrees):
         if n_steps:
             out, up, down = (span / n_steps * x for x in diagonals)
         for _ in range(n_steps):
             v = p
-            for k in range(_DEGREE, 0, -1):
+            for k in range(degree, 0, -1):
                 # v <- p + (1/k) hQ v
                 w = out * v
                 w[1:] += up * v[:-1]

@@ -79,8 +79,8 @@ def _walk(kp: KineticParams, n: int, rng: np.random.Generator, n_events: int, dr
     gets up-probability 1, and so does state 0 (d(0) = 0): the walk never
     goes below 0, and the callers cut their path at the first frozen state.
     The walk refuses no rate: a state whose total rate overflows a double gets
-    up-probability 0, or 1 when its birth rate overflows too, which is wrong
-    where both rates are finite, so the callers judge the states the walk holds.
+    up-probability 0, or 1 when its birth rate overflows too, so the callers
+    refuse every state the walk holds whose total rate overflows.
     """
     lo, up = 0, []
     for done in range(0, n_events, _BLOCK):
@@ -223,9 +223,9 @@ def stationary_histogram(
     Before any walk, the chain takes ``stationary_distribution``'s verdict from
     the same scan: the frozen chain (b(0) = 0) gives the point mass at 0, and a
     chain with no law or too large a one raises as there.  A held state whose
-    death rate overflows a double gets dwell weight 0; one whose rates are
-    finite but whose total overflows, where the walk's b/(b+d) reads 0, is a
-    ``DomainError``.
+    total rate overflows a double is a ``DomainError``, as in
+    ``simulate_trajectory``: the walk's b/(b+d) and the dwell weight 1/(b+d)
+    read 0 there, where the scan keeps the ratio of such rates.
     """
     if not 10_000 <= _integer("n_events", n_events) <= _MAX_EVENTS:
         raise DomainError(f"n_events must lie in [10^4, 10^9], got {n_events!r}")
@@ -249,11 +249,10 @@ def stationary_histogram(
     # the walk starts at 0 and moves by one, so it held every state up to the highest
     states = np.arange(max(top, support[-1]) + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        death = death_rate(states, kp)
-        rate = birth_rate(states, kp) + death
-    if not np.isfinite(rate[np.isfinite(death)]).all():
+        rate = birth_rate(states, kp) + death_rate(states, kp)
+    if not np.isfinite(rate).all():
         raise DomainError("the rates overflow a double within the simulated states")
-    rate = rate[support]   # a death rate past every double weighs 0
+    rate = rate[support]
     # dwell times relative to the longest one, which stay finite for tiny rates
     weights = counts[support] * (rate.min() / rate)
     return DiscreteDistribution.from_probs(support, weights / weights.sum())

@@ -566,7 +566,37 @@ class TestTransientEvolve:
             assert abs(d.probs.sum() - 1.0) < 1e-12
             assert np.max(np.abs(d.probs - np.exp(n * math.log(mean) - mean - log_factorial))) <= 1e-13
 
-    def test_linear_birth_death_matches_kendall(self):
+    def test_a_dense_grid_takes_short_exact_steps(self, monkeypatch):
+        # spans of 0.002 on rates up to 43 are one step each at x = 0.172, of degree
+        # 11; the laws stay Poisson with mean 3 (1 - e^-t) as on a sparse grid
+        degrees, real = [], birthdeath._taylor_degree
+
+        def spy(x):
+            degrees.append(real(x))
+            return degrees[-1]
+
+        monkeypatch.setattr(birthdeath, "_taylor_degree", spy)
+        init = DiscreteDistribution.from_probs([0], [1.0])
+        t_grid = [0.002 * (j + 1) for j in range(500)]
+        n = np.arange(41)
+        log_factorial = np.array([math.lgamma(k + 1) for k in n])
+        dists = transient_evolve(IMMIGRATION_DEATH, init, t_grid, n_max=40)
+        assert set(degrees) == {11}
+        for t, d in zip(t_grid, dists):
+            mean = 3.0 * -math.expm1(-t)
+            assert np.max(np.abs(d.probs - np.exp(n * math.log(mean) - mean - log_factorial))) <= 1e-13
+
+    @pytest.mark.parametrize("x", [1e-20, 0.01, 0.172, 1.0, 3.0, 3.54])
+    def test_the_taylor_degree_is_the_lowest_within_the_bound(self, x):
+        # the degree-m step is off by at most sum_{k>m} x^k/k!, which the degree keeps
+        # within its value at degree 30 and x = 3.54, and one degree less would not;
+        # the rule bounds that limit from above, within 0.05%
+        tail = [mp.nsum(lambda k: mp.mpf(x) ** k / mp.factorial(k), [m + 1, mp.inf])
+                for m in range(32)]
+        limit = mp.nsum(lambda k: mp.mpf(3.54) ** k / mp.factorial(k), [31, mp.inf])
+        m = birthdeath._taylor_degree(x)
+        assert tail[m] <= limit * (1 + 1e-3)
+        assert m == 0 or tail[m - 1] > limit
         # b = lam n + nu, d = mu n: from the empty state X(t) is negative binomial with
         # r = nu/lam and q(t) = lam (e^((lam-mu)t) - 1)/(lam e^((lam-mu)t) - mu)
         # (Kendall, Ann. Math. Stat. 19, 1, 1948)

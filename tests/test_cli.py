@@ -282,6 +282,16 @@ class TestStationary:
         assert rc == 1 and out == ""
         assert err.startswith("ERROR DOMAIN_ERROR: the rates overflow a double")
 
+    def test_ssa_refuses_a_death_rate_that_overflows_where_stationary_keeps_its_ratio(self, capsys):
+        # Poisson(0.8/0.95): the walk holds 2, where d(2) = 1.9e308 overflows
+        flags = ["--k1A", "0", "--km1", "0", "--k2", "0.95e308", "--km2AV", "0.8e308", "--V", "1"]
+        rc, out, err = run(["stationary", *flags], capsys)
+        assert rc == 0 and err == ""
+        assert json.loads(out)["probs"][2] == pytest.approx(0.1528, abs=1e-4)
+        rc, out, err = run(["ssa", *flags, "--events", "10000"], capsys)
+        assert rc == 1 and out == ""
+        assert err.startswith("ERROR DOMAIN_ERROR: the rates overflow a double")
+
     def test_frozen_chain_is_one_point_mass_in_both_modes(self, capsys):
         flags = [*POISSON3[:-4], "--km2AV", "0", "--V", "1", "--format", "csv"]
         outs = [run([mode, *flags], capsys) for mode in ("stationary", "ssa")]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -238,18 +239,21 @@ class TestStationaryHistogram:
         assert h.probs[1] == pytest.approx(law.probs[1], rel=1e-12, abs=0)
         assert h.probs[1] == pytest.approx(1e-308, rel=1e-12, abs=0)
 
-    def test_an_overflowing_rate_the_walk_holds_weighs_nothing(self):
-        # d(2) = 1e308 * 2 overflows: the walk, which visits 2, gives it dwell weight
-        # 0, and the scan P(2) = P(1) b(1)/d(2) = 0.5/(2e308 + 2), a subnormal
-        kp = KineticParams(k1=0, k_m1=1e308, k2=1, k_m2=1, a=1, volume=1)
+    @pytest.mark.parametrize("kp, p2", [
+        # d(2) = 1e308 * 2 overflows: P(2) = P(1) b(1)/d(2) = 0.5/(2e308 + 2), a subnormal
+        (KineticParams(k1=0, k_m1=1e308, k2=1, k_m2=1, a=1, volume=1), 2.5e-309),
+        # Poisson(0.8/0.95): b(1) + d(1) = 1.75e308 is finite, d(2) = 1.9e308 is not
+        (KineticParams(k1=0, k_m1=0, k2=0.95e308, k_m2=0.8e308, a=1, volume=1),
+         math.exp(-0.8 / 0.95) * (0.8 / 0.95) ** 2 / 2),
+    ])
+    def test_a_death_rate_that_overflows_at_a_held_state_is_refused(self, kp, p2):
+        # the walk holds 2, where its b/(b+d) and dwell weight 1/(b+d) read 0 but
+        # the scan keeps the ratio b(1)/d(2)
+        assert stationary_distribution(kp).probs[2] == pytest.approx(p2, rel=1e-12, abs=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h = stationary_histogram(kp, seed=1, n_events=10_000)
-        law = stationary_distribution(kp)
-        assert h.support.tolist() == law.support.tolist() == [0, 1, 2]
-        assert h.probs[2] == 0.0
-        assert law.probs[2] == pytest.approx(2.5e-309, rel=1e-12, abs=0)
-        assert total_variation(h, law) < 0.05
+            with pytest.raises(DomainError, match="overflow"):
+                stationary_histogram(kp, seed=1, n_events=10_000)
 
     def test_a_total_rate_that_overflows_between_finite_rates_is_refused(self):
         # Poisson(1): at state 1, b = d = 1e308 but b + d overflows, so the walk's
