@@ -27,10 +27,11 @@ from .errors import (
 
 _TAIL_TOL = 1e-12                          # the default; find_extrema always scans at it
 _BOUNDARY_TOL = _CONSERVATION_TOL = 1e-9   # transient_evolve's error bounds
-# transient_evolve steps by Taylor polynomials of e^(hQ) of degree at most _DEGREE,
-# with x = h ||Q||_1 <= _THETA, the Al-Mohy-Higham bound for that degree at 2^-53.
-# The degree-m polynomial is off by at most x^(m+1)/(m+1)! / (1 - x/(m+2)) in the
-# 1-norm; _TAIL is that bound at _DEGREE and _THETA, 1.43e-17
+# transient_evolve steps by e^(hQ) = e^(-x) e^(hB), with B = Q + Lambda I >= 0 and
+# e^(hB) a Taylor polynomial of degree at most _DEGREE, at x = h ||B||_1 = h Lambda
+# <= _THETA, the Al-Mohy-Higham bound for that degree at 2^-53.  The degree-m
+# polynomial is off by at most x^(m+1)/(m+1)! / (1 - x/(m+2)) in the 1-norm, and
+# e^(-x) times that after the shift; _TAIL is that bound at _DEGREE and _THETA, 1.43e-17
 _DEGREE, _THETA = 30, 3.54
 _TAIL = _THETA ** (_DEGREE + 1) / math.factorial(_DEGREE + 1) / (1 - _THETA / (_DEGREE + 2))
 # transient_evolve refuses a t_grid whose Taylor products times (n_max + 1 + _STEP_STATES)
@@ -38,7 +39,7 @@ _TAIL = _THETA ** (_DEGREE + 1) / math.factorial(_DEGREE + 1) / (1 - _THETA / (_
 # (~3.4 us a product at n_max = 40; 2.6-6.7 ns a state-product from n_max = 40 to
 # 2,000,000, shared 2-vCPU x86-64 host); at 1.5-3.9e8 state-products a second the cap
 # is 38 to 100 seconds, like stationary_histogram's event cap.  The n_max = 40, t = 30
-# test needs 4.6e8.
+# test needs 2.3e8.
 _STEP_STATES = 1000
 _MAX_TRANSIENT_WORK = 1.5e10
 # transient_evolve also refuses a t_grid whose laws, len(t_grid) * (n_max + 1)
@@ -329,7 +330,7 @@ def detailed_balance_gap(kp: KineticParams) -> float:
 
 
 def _taylor_degree(x: float) -> int:
-    """The lowest degree m <= _DEGREE whose Taylor step, at x = h ||Q||_1, is off by at most _TAIL."""
+    """The lowest degree m <= _DEGREE whose Taylor step, at x = h ||B||_1, is off by at most _TAIL."""
     term = x   # x^(m+1)/(m+1)!
     for m in range(_DEGREE):
         if term <= _TAIL * (1 - x / (m + 2)):
@@ -341,16 +342,21 @@ def _taylor_degree(x: float) -> int:
 def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n_max: int) -> list:
     """Solve the probability-flow equations p' = Qp on the truncated lattice 0..n_max.
 
-    Q is constant, so a step of length h is p <- e^(hQ) p.  Each step takes
-    a Taylor polynomial of e^(hQ) of degree m <= 30, evaluated by Horner's
-    rule: v <- p + (1/k) hQ v for k = m, ..., 1, starting from v = p, with
-    Q's three diagonals scaled by h once per span.  Each span is cut into the
-    fewest equal steps with x = h ||Q||_1 <= 3.54, where ||Q||_1 <= 2 (b + d)(n_max)
-    as both rates grow with n.  That is the Al-Mohy-Higham bound for degree 30
-    at 2^-53 (SIAM J. Sci. Comput. 33, 488, 2011).  A span's degree is the
-    lowest whose truncation error, at most x^(m+1)/(m+1)! / (1 - x/(m+2)) in
-    the 1-norm, stays within that bound at degree 30 and x = 3.54, 1.43e-17;
-    rounding grows at most e^3.54 ~ 35-fold, so every step is exact to double
+    Q is constant, so a step of length h is p <- e^(hQ) p = e^(-x) e^(hB) p,
+    shifted by the top rate Lambda = (b + d)(n_max) (both rates grow with n):
+    B = Q + Lambda I has every entry >= 0, its columns sum to at most Lambda,
+    and x = h Lambda = h ||B||_1 (uniformization's shift; Jensen, Skand.
+    Aktuarietidskr. 36, 87, 1953).  Each step takes a Taylor polynomial of
+    e^(hB) of degree m <= 30, evaluated by Horner's rule:
+    v <- p + (1/k) hB v for k = m, ..., 1, starting from v = p, with B's three
+    diagonals scaled by h once per span, then v <- e^(-x) v.  Every term is
+    >= 0, so nothing cancels and no probability turns negative.  Each span is
+    cut into the fewest equal steps with x <= 3.54, the Al-Mohy-Higham bound
+    for degree 30 at 2^-53 (SIAM J. Sci. Comput. 33, 488, 2011).  A span's
+    degree is the lowest whose truncation error, at most
+    x^(m+1)/(m+1)! / (1 - x/(m+2)) in the 1-norm before the factor e^(-x),
+    stays within that bound at degree 30 and x = 3.54, 1.43e-17; rounding
+    grows at most e^3.54 ~ 35-fold, so every step is exact to double
     precision.  A span of several steps keeps x near 3.54 and a degree near
     30 (24 at x = 2, 28 at x = 3); a span far shorter than one step, as on a
     dense output grid, still takes one step, of fewer products (11 at
@@ -359,9 +365,11 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     but the benchmark's peak-RSS metric still grows with the operations a
     run makes (ROADMAP item 9).
 
-    The upper boundary leaks (mass past n_max is dropped, never reflected or
-    renormalized); mass above 1e-9 at n_max (``TruncationBreach``) or a drift
-    of the total beyond 1e-9 (``StepFailure``) is an error, not a silent fix.
+    The upper boundary leaks: mass past n_max is dropped, never reflected.
+    Mass above 1e-9 at n_max (``TruncationBreach``) or a drift of the total
+    beyond 1e-9 (``StepFailure``) is an error, not a silent fix; within
+    those bounds each returned law is rescaled to sum to 1, so it is the
+    leaky law conditioned on no leak, within 1e-9 of the leaky law itself.
 
     Before any lattice is built, an ``n_max`` past 2,000,000 raises
     ``SupportTooLarge``, and a ``DomainError`` is raised when the laws to
@@ -387,10 +395,10 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
         raise DomainError(f"the rates overflow a double at n_max={n_max}")
     spans = [t2 - t1 for t1, t2 in zip([0.0, *t_grid], t_grid)]
     # each span's step count, kept a float until the cap is checked (it may be inf),
-    # and its degree; every column of Q sums to at most 2 * max_rate in absolute value
-    steps = [max(1.0, span * 2 * max_rate / _THETA) if span > 0 and max_rate > 0 else 0.0
+    # and its degree; every column of B sums to at most max_rate
+    steps = [max(1.0, span * max_rate / _THETA) if span > 0 and max_rate > 0 else 0.0
              for span in spans]
-    degrees = [_taylor_degree(span * 2 * max_rate / math.ceil(s)) if 0 < s < math.inf
+    degrees = [_taylor_degree(span * max_rate / math.ceil(s)) if 0 < s < math.inf
                else _DEGREE for span, s in zip(spans, steps)]
     products = sum(s * m for s, m in zip(steps, degrees))
     if products * (n_max + 1 + _STEP_STATES) > _MAX_TRANSIENT_WORK:
@@ -400,8 +408,11 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     states = np.arange(n_max + 1)
     b = birth_rate(states, kp)
     dr = death_rate(states, kp)
-    # Q's three diagonals: the rate out of each state, inflow from below and from above
-    diagonals = (-(b + dr), b[:-1], dr[1:])
+    rate = b + dr
+    top = rate.max()
+    # B's three diagonals: the top rate less the rate out of each state (in place),
+    # inflow from below and from above; each >= 0, as top is the largest of those rates
+    diagonals = (np.subtract(top, rate, out=rate), b[:-1], dr[1:])
 
     p = np.zeros(n_max + 1)
     p[initial.support] = initial.probs
@@ -409,17 +420,20 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     results = []
     for t, span, n_steps, degree in zip(t_grid, spans, map(math.ceil, steps), degrees):
         if n_steps:
-            out, up, down = (span / n_steps * x for x in diagonals)
+            h = span / n_steps
+            stay, up, down = (h * x for x in diagonals)
+            decay = math.exp(-h * top)
         for _ in range(n_steps):
             v = p
             for k in range(degree, 0, -1):
-                # v <- p + (1/k) hQ v
-                w = out * v
+                # v <- p + (1/k) hB v
+                w = stay * v
                 w[1:] += up * v[:-1]
                 w[:-1] += down * v[1:]
                 w *= 1 / k
                 w += p
                 v = w
+            v *= decay
             p = v
         if p[-1] > _BOUNDARY_TOL:
             raise TruncationBreach(
@@ -427,10 +441,7 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
         total = p.sum()
         if abs(total - 1.0) > _CONSERVATION_TOL:
             raise StepFailure(f"probability sum drifted to {total!r} at t={t}")
-        q = np.where((p < 0) & (p > -1e-12), 0.0, p)
-        if np.any(q < 0):
-            raise StepFailure(f"negative probability {q.min():.3e} at t={t}")
-        # conservation already verified above; rescale roundoff so the
-        # returned object meets the exact-normalization invariant
-        results.append(DiscreteDistribution.from_probs(states, q / q.sum()))
+        # the leaked mass, at most 1e-9 by the checks above, is spread back
+        # over the lattice: the law is conditioned on not having leaked
+        results.append(DiscreteDistribution.from_probs(states, p / total))
     return results
