@@ -29,17 +29,19 @@ _TAIL_TOL = 1e-12                          # the default; find_extrema always sc
 _BOUNDARY_TOL = _CONSERVATION_TOL = 1e-9   # transient_evolve's error bounds
 # transient_evolve steps by e^(hQ) = e^(-x) e^(hB), with B = Q + Lambda I >= 0 and
 # e^(hB) a Taylor polynomial of degree at most _DEGREE, at x = h ||B||_1 = h Lambda
-# <= _THETA, the Al-Mohy-Higham bound for that degree at 2^-53.  The degree-m
-# polynomial is off by at most x^(m+1)/(m+1)! / (1 - x/(m+2)) in the 1-norm, and
-# e^(-x) times that after the shift; _TAIL is that bound at _DEGREE and _THETA, 1.43e-17
-_DEGREE, _THETA = 30, 3.54
-_TAIL = _THETA ** (_DEGREE + 1) / math.factorial(_DEGREE + 1) / (1 - _THETA / (_DEGREE + 2))
+# <= _THETA, the Al-Mohy-Higham bound for that degree at 2^-53.  After the shift
+# the degree-m step is off by at most e^(-x) sum_{k>m} x^k/k! in the 1-norm, a
+# Poisson(x) tail, which e^(-x) x^(m+1)/(m+1)! / (1 - x/(m+2)) bounds; _TAIL, the
+# target for that bound, is the Al-Mohy-Higham unshifted bound at degree 30 and 3.54,
+# 1.43e-17.  Degree 47 meets it at x = 9.9, so the cap of 55 is a guard.
+_DEGREE, _THETA = 55, 9.9
+_TAIL = 3.54 ** 31 / math.factorial(31) / (1 - 3.54 / 32)
 # transient_evolve refuses a t_grid whose Taylor products times (n_max + 1 + _STEP_STATES)
 # pass _MAX_TRANSIENT_WORK.  A product's fixed numpy overhead costs about 1000 states
 # (~3.4 us a product at n_max = 40; 2.6-6.7 ns a state-product from n_max = 40 to
 # 2,000,000, shared 2-vCPU x86-64 host); at 1.5-3.9e8 state-products a second the cap
 # is 38 to 100 seconds, like stationary_histogram's event cap.  The n_max = 40, t = 30
-# test needs 2.3e8.
+# test needs 1.3e8.
 _STEP_STATES = 1000
 _MAX_TRANSIENT_WORK = 1.5e10
 # transient_evolve also refuses a t_grid whose laws, len(t_grid) * (n_max + 1)
@@ -330,8 +332,12 @@ def detailed_balance_gap(kp: KineticParams) -> float:
 
 
 def _taylor_degree(x: float) -> int:
-    """The lowest degree m <= _DEGREE whose Taylor step, at x = h ||B||_1, is off by at most _TAIL."""
-    term = x   # x^(m+1)/(m+1)!
+    """The lowest degree m <= _DEGREE whose shifted step, at x = h ||B||_1, is off by at most _TAIL.
+
+    The step e^(-x) sum_{k<=m} (hB)^k/k! misses e^(-x) sum_{k>m} x^k/k! of the mass in the
+    1-norm, a Poisson(x) tail, at most e^(-x) x^(m+1)/(m+1)! / (1 - x/(m+2)).
+    """
+    term = x * math.exp(-x)   # e^(-x) x^(m+1)/(m+1)!
     for m in range(_DEGREE):
         if term <= _TAIL * (1 - x / (m + 2)):
             return m
@@ -347,23 +353,21 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     B = Q + Lambda I has every entry >= 0, its columns sum to at most Lambda,
     and x = h Lambda = h ||B||_1 (uniformization's shift; Jensen, Skand.
     Aktuarietidskr. 36, 87, 1953).  Each step takes a Taylor polynomial of
-    e^(hB) of degree m <= 30, evaluated by Horner's rule:
+    e^(hB) of degree m <= 55, evaluated by Horner's rule:
     v <- p + (1/k) hB v for k = m, ..., 1, starting from v = p, with B's three
     diagonals scaled by h once per span, then v <- e^(-x) v.  Every term is
     >= 0, so nothing cancels and no probability turns negative.  Each span is
-    cut into the fewest equal steps with x <= 3.54, the Al-Mohy-Higham bound
-    for degree 30 at 2^-53 (SIAM J. Sci. Comput. 33, 488, 2011).  A span's
-    degree is the lowest whose truncation error, at most
-    x^(m+1)/(m+1)! / (1 - x/(m+2)) in the 1-norm before the factor e^(-x),
-    stays within that bound at degree 30 and x = 3.54, 1.43e-17; rounding
-    grows at most e^3.54 ~ 35-fold, so every step is exact to double
-    precision.  A span of several steps keeps x near 3.54 and a degree near
-    30 (24 at x = 2, 28 at x = 3); a span far shorter than one step, as on a
-    dense output grid, still takes one step, of fewer products (11 at
-    x = 0.2, 6 at x = 0.01).  The degree stops at 30, with no early stop:
-    degree 55 or the Al-Mohy-Higham early stop would take fewer products,
-    but the benchmark's peak-RSS metric still grows with the operations a
-    run makes (ROADMAP item 9).
+    cut into the fewest equal steps with x <= 9.9, the Al-Mohy-Higham bound
+    for degree 55 at 2^-53 (SIAM J. Sci. Comput. 33, 488, 2011).  The shifted
+    step is off by at most e^(-x) sum_{k>m} x^k/k! in the 1-norm, a Poisson(x)
+    tail; a span's degree is the lowest whose bound on that tail,
+    e^(-x) x^(m+1)/(m+1)! / (1 - x/(m+2)), stays within the Al-Mohy-Higham
+    bound at degree 30 and x = 3.54, 1.43e-17, so every step is exact to
+    double precision.  A span longer than one step takes steps of
+    4.95 < x <= 9.9 and degrees 34 to 47; a span far shorter than one step,
+    as on a dense output grid, still takes one step, of fewer products (27 at
+    x = 3, 11 at x = 0.2, 6 at x = 0.01).  The degree stops at 55, which no
+    x <= 9.9 needs.
 
     The upper boundary leaks: mass past n_max is dropped, never reflected.
     Mass above 1e-9 at n_max (``TruncationBreach``) or a drift of the total

@@ -546,7 +546,10 @@ class TestTransientEvolve:
         (BIMODAL, [0.05, 0.25, 0.5, 1.0, 2.0], 60),
         (DETAILED_BALANCE, [0.1, 0.5, 1.0, 2.0, 5.0], 40),
         (IMMIGRATION_DEATH, [0.25, 0.5, 1.0, 2.0, 4.0, 8.0], 40),
-    ], ids=["bimodal", "detailed-balance", "immigration-death"])
+        # top rate 0.9 + 0.3 * 30 = 9.9 exactly: a span of x = 9.9, one full step, then
+        # one of x = 9.90001, two steps
+        (KineticParams(k1=0, k_m1=0, k2=0.3, k_m2=0.9, a=1, volume=1), [1.0, 2.000001], 30),
+    ], ids=["bimodal", "detailed-balance", "immigration-death", "one-step-then-two"])
     def test_matches_uniformization(self, kp, t_grid, n_max):
         init = DiscreteDistribution.from_probs([0], [1.0])
         laws = transient_evolve(kp, init, t_grid, n_max=n_max)
@@ -586,15 +589,18 @@ class TestTransientEvolve:
             mean = 3.0 * -math.expm1(-t)
             assert np.max(np.abs(d.probs - np.exp(n * math.log(mean) - mean - log_factorial))) <= 1e-13
 
-    @pytest.mark.parametrize("x", [1e-20, 0.01, 0.172, 1.0, 3.0, 3.54])
+    @pytest.mark.parametrize("x", [1e-20, 0.01, 0.172, 1.0, 3.0, 3.54, 5.0, 9.9])
     def test_the_taylor_degree_is_the_lowest_within_the_bound(self, x):
-        # the degree-m step is off by at most sum_{k>m} x^k/k!, which the degree keeps
-        # within its value at degree 30 and x = 3.54, and one degree less would not;
-        # the rule bounds that limit from above, within 0.05%
-        tail = [mp.nsum(lambda k: mp.mpf(x) ** k / mp.factorial(k), [m + 1, mp.inf])
-                for m in range(32)]
+        # after the shift the degree-m step is off by at most e^-x sum_{k>m} x^k/k!, a
+        # Poisson(x) tail, which the degree keeps within the unshifted degree-30 tail at
+        # x = 3.54, and one degree less would not; the rule bounds that limit from
+        # above, within 0.05%
+        x_mp = mp.mpf(x)
+        tail = [mp.exp(-x_mp) * mp.nsum(lambda k: x_mp ** k / mp.factorial(k), [m + 1, mp.inf])
+                for m in range(birthdeath._DEGREE + 1)]
         limit = mp.nsum(lambda k: mp.mpf(3.54) ** k / mp.factorial(k), [31, mp.inf])
         m = birthdeath._taylor_degree(x)
+        assert m <= 55
         assert tail[m] <= limit * (1 + 1e-3)
         assert m == 0 or tail[m - 1] > limit
 
@@ -653,7 +659,7 @@ class TestTransientEvolve:
         (IMMIGRATION_DEATH, [1.0], _MAX_SUPPORT + 1, SupportTooLarge, "past 2000000 states"),
         (IMMIGRATION_DEATH, [1e300], 40, DomainError, "Taylor products"),
         (IMMIGRATION_DEATH, [1.0, 1.7e308], 40, DomainError, "Taylor products"),   # inf steps
-        (DETAILED_BALANCE, [1.0, 2600.0], 40, DomainError, "Taylor products"),
+        (DETAILED_BALANCE, [1.0, 4000.0], 40, DomainError, "Taylor products"),
         (KineticParams(k1=0, k_m1=1e308, k2=1, k_m2=3, a=1, volume=1), [1.0], 100,
          DomainError, "overflow"),
         # every rate 0: no step at all, but 200 laws of 100,001 states to store
@@ -716,7 +722,7 @@ def test_law_and_extrema_are_finite_or_a_typed_error(kp):
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
 def test_transient_laws_are_normalized_or_a_typed_error(rates, volume, n_max, n_init, reach,
                                                         fractions):
-    # t_end * max_rate <= 200 keeps the solve to at most 57 Taylor steps
+    # t_end * max_rate <= 200 keeps each span to at most 21 Taylor steps
     kp = KineticParams(*rates, a=1, volume=volume)
     states = np.arange(n_max + 1)
     max_rate = float(np.max(birth_rate(states, kp) + death_rate(states, kp)))
