@@ -332,11 +332,7 @@ def detailed_balance_gap(kp: KineticParams) -> float:
 
 
 def _taylor_degree(x: float) -> int:
-    """The lowest degree m <= _DEGREE whose shifted step, at x = h ||B||_1, is off by at most _TAIL.
-
-    The step e^(-x) sum_{k<=m} (hB)^k/k! misses e^(-x) sum_{k>m} x^k/k! of the mass in the
-    1-norm, a Poisson(x) tail, at most e^(-x) x^(m+1)/(m+1)! / (1 - x/(m+2)).
-    """
+    """The lowest degree m <= _DEGREE whose shifted step, at x = h ||B||_1, is off by at most _TAIL."""
     term = x * math.exp(-x)   # e^(-x) x^(m+1)/(m+1)!
     for m in range(_DEGREE):
         if term <= _TAIL * (1 - x / (m + 2)):
@@ -364,9 +360,9 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     e^(-x) x^(m+1)/(m+1)! / (1 - x/(m+2)), stays within the Al-Mohy-Higham
     bound at degree 30 and x = 3.54, 1.43e-17, so every step is exact to
     double precision.  A span longer than one step takes steps of
-    4.95 < x <= 9.9 and degrees 34 to 47; a span far shorter than one step,
-    as on a dense output grid, still takes one step, of fewer products (27 at
-    x = 3, 11 at x = 0.2, 6 at x = 0.01).  The degree stops at 55, which no
+    4.95 < x <= 9.9 and degrees 34 to 47; a shorter span, as on a dense
+    output grid, still takes one step, of fewer products (27 at x = 3, 11 at
+    x = 0.2, 6 at x = 0.01).  The degree stops at 55, which no
     x <= 9.9 needs.
 
     The upper boundary leaks: mass past n_max is dropped, never reflected.
