@@ -28,13 +28,13 @@ from .errors import (
 _TAIL_TOL = 1e-12                          # the default; find_extrema always scans at it
 _BOUNDARY_TOL = _CONSERVATION_TOL = 1e-9   # transient_evolve's error bounds
 # transient_evolve steps by e^(hQ) = e^(-x) e^(hB), with B = Q + Lambda I >= 0 and
-# e^(hB) a Taylor polynomial of degree at most _DEGREE, at x = h ||B||_1 = h Lambda
-# <= _THETA, the Al-Mohy-Higham bound for that degree at 2^-53.  After the shift
-# the degree-m step is off by at most e^(-x) sum_{k>m} x^k/k! in the 1-norm, a
-# Poisson(x) tail, which e^(-x) x^(m+1)/(m+1)! / (1 - x/(m+2)) bounds; _TAIL, the
-# target for that bound, is the Al-Mohy-Higham unshifted bound at degree 30 and 3.54,
-# 1.43e-17.  Degree 47 meets it at x = 9.9, so the cap of 55 is a guard.
-_DEGREE, _THETA = 55, 9.9
+# e^(hB) a Taylor polynomial, at x = h ||B||_1 = h Lambda <= _THETA, the
+# Al-Mohy-Higham bound for degree 55 at 2^-53.  After the shift the degree-m step
+# is off by at most e^(-x) sum_{k>m} x^k/k! in the 1-norm, a Poisson(x) tail, which
+# e^(-x) x^(m+1)/(m+1)! / (1 - x/(m+2)) bounds; _TAIL, the target for that bound,
+# is the Al-Mohy-Higham unshifted bound at degree 30 and 3.54, 1.43e-17.  Degree 47
+# meets it at x = 9.9.
+_THETA = 9.9
 _TAIL = 3.54 ** 31 / math.factorial(31) / (1 - 3.54 / 32)
 # transient_evolve refuses a t_grid whose Taylor products times (n_max + 1 + _STEP_STATES)
 # pass _MAX_TRANSIENT_WORK.  A product's fixed numpy overhead costs about 1000 states
@@ -136,9 +136,11 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
     if kp.k_m1 == 0:
         rho, lam = k1a / kp.k2, c / kp.k2
         r = c / k1a if k1a > 0 else math.inf
-        # log rho and log lam as differences of logs: the ratios may underflow to 0
+        # log r, log rho and log lam as differences of logs: the ratios may underflow
+        # to 0; lgamma(m + r) - lgamma(r) = log r + lgamma(m + r) - lgamma(1 + r)
         if r <= 1e12:
-            log_tail = (math.lgamma(m + r) - math.lgamma(r) - math.lgamma(m + 1)
+            log_tail = (math.log(c) - math.log(k1a) + math.lgamma(m + r) - math.lgamma(1 + r)
+                        - math.lgamma(m + 1)
                         + m * (math.log(k1a) - math.log(kp.k2)) + r * math.log1p(-rho)
                         - math.log1p(-rho * min(1.0, (m + r) / (m + 1))))
         else:
@@ -162,12 +164,7 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
         # plus the ratio one past the last of them for the decreasing test
         n = np.arange(start, start + size + 1, dtype=float)
         b, d = birth_rate(n, kp), death_rate(n + 1, kp)
-        r = b / d
-        r_prev, r_next = r[:-1], r[1:]
-        log_r = np.log(r_prev)
-        log_r[0] += last
-        logw = np.cumsum(log_r)
-        if not math.isfinite(logw[-1]):   # a ratio of 0 or inf takes its exact log
+        if math.isinf(b[-1]) or math.isinf(d[-1]):   # the rates grow with n: the last are the largest
             # where a rate overflows, both rates come from the rate constants scaled
             # by one power of two, the largest to [1/2, 1): the ratio is unchanged
             over = np.isinf(b) | np.isinf(d)
@@ -176,12 +173,13 @@ def _stationary_scan(kp: KineticParams, tail_tol: float) -> tuple:
                                   a=kp.a, volume=kp.volume)
             b = np.where(over, birth_rate(n, small), b)
             d = np.where(over, death_rate(n + 1, small), d)
-            r = b / d
-            r_prev, r_next = r[:-1], r[1:]
-            log_r = np.where(np.isinf(r_prev) | (r_prev == 0),
-                             np.log(b[:-1]) - np.log(d[:-1]), np.log(r_prev))
-            log_r[0] += last
-            logw = np.cumsum(log_r)
+        r = b / d
+        r_prev, r_next = r[:-1], r[1:]
+        log_r = np.log(r_prev)
+        edge = np.isinf(log_r)   # a ratio of 0 or inf takes its exact log
+        log_r[edge] = np.log(b[:-1][edge]) - np.log(d[:-1][edge])
+        log_r[0] += last
+        logw = np.cumsum(log_r)
         totals = np.logaddexp.accumulate(np.concatenate(([log_total], logw)))[1:]
         rho = np.maximum(r_prev, limit_ratio)   # rho < 1 implies r(N-1) < 1
         ok = (rho < 1.0) & (logw + np.log(rho / (1.0 - rho)) < log_tol + totals)
@@ -332,13 +330,12 @@ def detailed_balance_gap(kp: KineticParams) -> float:
 
 
 def _taylor_degree(x: float) -> int:
-    """The lowest degree m <= _DEGREE whose shifted step, at x = h ||B||_1, is off by at most _TAIL."""
-    term = x * math.exp(-x)   # e^(-x) x^(m+1)/(m+1)!
-    for m in range(_DEGREE):
-        if term <= _TAIL * (1 - x / (m + 2)):
-            return m
-        term *= x / (m + 2)
-    return _DEGREE
+    """The lowest degree m whose shifted step, at x = h ||B||_1, is off by at most _TAIL."""
+    term, m = x * math.exp(-x), 0   # e^(-x) x^(m+1)/(m+1)!
+    while term > _TAIL * (1 - x / (m + 2)):
+        m += 1
+        term *= x / (m + 1)
+    return m
 
 
 def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n_max: int) -> list:
@@ -349,7 +346,7 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     B = Q + Lambda I has every entry >= 0, its columns sum to at most Lambda,
     and x = h Lambda = h ||B||_1 (uniformization's shift; Jensen, Skand.
     Aktuarietidskr. 36, 87, 1953).  Each step takes a Taylor polynomial of
-    e^(hB) of degree m <= 55, evaluated by Horner's rule:
+    e^(hB) of degree m <= 47, evaluated by Horner's rule:
     v <- p + (1/k) hB v for k = m, ..., 1, starting from v = p, with B's three
     diagonals scaled by h once per span, then v <- e^(-x) v.  Every term is
     >= 0, so nothing cancels and no probability turns negative.  Each span is
@@ -362,12 +359,11 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     double precision.  A span longer than one step takes steps of
     4.95 < x <= 9.9 and degrees 34 to 47; a shorter span, as on a dense
     output grid, still takes one step, of fewer products (27 at x = 3, 11 at
-    x = 0.2, 6 at x = 0.01).  The degree stops at 55, which no
-    x <= 9.9 needs.
+    x = 0.2, 6 at x = 0.01).
 
     The upper boundary leaks: mass past n_max is dropped, never reflected.
-    Mass above 1e-9 at n_max (``TruncationBreach``) or a drift of the total
-    beyond 1e-9 (``StepFailure``) is an error, not a silent fix; within
+    Mass above 1e-9 at n_max (``TruncationBreach``) or more than 1e-9 of the
+    mass leaked past n_max (``StepFailure``) is an error, not a silent fix; within
     those bounds each returned law is rescaled to sum to 1, so it is the
     leaky law conditioned on no leak, within 1e-9 of the leaky law itself.
 
@@ -395,11 +391,12 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
         raise DomainError(f"the rates overflow a double at n_max={n_max}")
     spans = [t2 - t1 for t1, t2 in zip([0.0, *t_grid], t_grid)]
     # each span's step count, kept a float until the cap is checked (it may be inf),
-    # and its degree; every column of B sums to at most max_rate
+    # and its degree (a full step's where it takes none, or too many to count);
+    # every column of B sums to at most max_rate
     steps = [max(1.0, span * max_rate / _THETA) if span > 0 and max_rate > 0 else 0.0
              for span in spans]
-    degrees = [_taylor_degree(span * max_rate / math.ceil(s)) if 0 < s < math.inf
-               else _DEGREE for span, s in zip(spans, steps)]
+    degrees = [_taylor_degree(span * max_rate / math.ceil(s) if 0 < s < math.inf else _THETA)
+               for span, s in zip(spans, steps)]
     products = sum(s * m for s, m in zip(steps, degrees))
     if products * (n_max + 1 + _STEP_STATES) > _MAX_TRANSIENT_WORK:
         raise DomainError(f"t_grid needs {products:.3g} Taylor products on {n_max + 1} states, "
@@ -408,11 +405,9 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
     states = np.arange(n_max + 1)
     b = birth_rate(states, kp)
     dr = death_rate(states, kp)
-    rate = b + dr
-    top = rate.max()
-    # B's three diagonals: the top rate less the rate out of each state (in place),
-    # inflow from below and from above; each >= 0, as top is the largest of those rates
-    diagonals = (np.subtract(top, rate, out=rate), b[:-1], dr[1:])
+    # B's three diagonals: the top rate less the rate out of each state, inflow
+    # from below and from above; each >= 0, as the rates grow with n
+    diagonals = (max_rate - (b + dr), b[:-1], dr[1:])
 
     p = np.zeros(n_max + 1)
     p[initial.support] = initial.probs
@@ -422,7 +417,7 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
         if n_steps:
             h = span / n_steps
             stay, up, down = (h * x for x in diagonals)
-            decay = math.exp(-h * top)
+            decay = math.exp(-h * max_rate)
         for _ in range(n_steps):
             v = p
             for k in range(degree, 0, -1):
@@ -440,7 +435,8 @@ def transient_evolve(kp: KineticParams, initial: DiscreteDistribution, t_grid, n
                 f"mass {p[-1]:.3e} at n_max={n_max} at t={t}; enlarge the lattice")
         total = p.sum()
         if abs(total - 1.0) > _CONSERVATION_TOL:
-            raise StepFailure(f"probability sum drifted to {total!r} at t={t}")
+            raise StepFailure(f"mass {1.0 - total:.3e} leaked past n_max={n_max} by t={t}; "
+                              "enlarge the lattice")
         # the leaked mass, at most 1e-9 by the checks above, is spread back
         # over the lattice: the law is conditioned on not having leaked
         results.append(DiscreteDistribution.from_probs(states, p / total))

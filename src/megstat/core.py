@@ -137,7 +137,7 @@ class DiscreteDistribution:
             raise DomainError("negative or NaN probability")
         total = probs.sum()
         if not abs(total - 1.0) <= _NORM_TOL:
-            raise DomainError(f"probabilities sum to {total!r}, not 1")
+            raise DomainError(f"probabilities sum to {float(total)!r}, not 1")
 
     @classmethod
     def from_log_weights(cls, support, log_weights) -> "DiscreteDistribution":

@@ -66,6 +66,6 @@ class TruncationBreach(MegstatError):
 
 
 class StepFailure(MegstatError):
-    """Time integration lost probability beyond the conservation tolerance."""
+    """More probability than the conservation tolerance leaked past the lattice's top state."""
 
     code = "STEP_FAILURE"

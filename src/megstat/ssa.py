@@ -226,6 +226,13 @@ def stationary_histogram(
     total rate overflows a double is a ``DomainError``, as in
     ``simulate_trajectory``: the walk's b/(b+d) and the dwell weight 1/(b+d)
     read 0 there, where the scan keeps the ratio of such rates.
+
+    The estimate counts visits, so a stiff chain can hide a state that holds
+    nearly all the mass but is left at once and rarely re-entered.  At
+    k1 = k_m1 = 1e10, k2 = k_m2 = 1, A = 1, V = 1e-3, ``stationary_distribution``
+    gives P(0) = 0.999; from state 1 the walk steps down with probability ~1e-10,
+    so in 10^4 events it never returns to 0 after its burn-in, and the
+    histogram has no state 0.
     """
     if not 10_000 <= _integer("n_events", n_events) <= _MAX_EVENTS:
         raise DomainError(f"n_events must lie in [10^4, 10^9], got {n_events!r}")
@@ -236,18 +243,16 @@ def stationary_histogram(
     skip = int(burn_in_fraction * n_events)   # the burn-in events not yet walked
 
     counts = np.zeros(0, dtype=np.int64)
-    top = 0   # the highest state held in the burn-in
+    top = 0   # the highest state held
     for _, held, _ in _walk(kp, 0, _generator(seed), int(n_events), 1):
-        if skip:
-            top = max(top, held[:skip].max())
-        if skip < len(held):
-            visits = np.bincount(held[skip:], minlength=len(counts))
-            visits[:len(counts)] += counts
-            counts = visits
+        top = max(top, held.max())
+        visits = np.bincount(held[skip:], minlength=len(counts))
+        visits[:len(counts)] += counts
+        counts = visits
         skip = max(skip - len(held), 0)
     support = np.flatnonzero(counts)
     # the walk starts at 0 and moves by one, so it held every state up to the highest
-    states = np.arange(max(top, support[-1]) + 1)
+    states = np.arange(top + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         rate = birth_rate(states, kp) + death_rate(states, kp)
     if not np.isfinite(rate).all():

@@ -31,6 +31,7 @@ from megstat.errors import (
     MegstatError,
     NonNormalizable,
     NotApplicable,
+    StepFailure,
     SupportTooLarge,
     TruncationBreach,
 )
@@ -267,6 +268,13 @@ class TestStationaryDistribution:
         d = stationary_distribution(KineticParams(k1=1, k_m1=1, k2=1e200, k_m2=1, a=1, volume=1))
         assert d.support.tolist() == [0, 1]
         assert d.probs[1] == pytest.approx(1e-200, rel=1e-12, abs=0)
+
+    def test_negative_binomial_whose_shape_underflows_is_the_point_mass_at_0(self):
+        # r = c/(k1*A) = 1e-360 underflows to 0, and P(1) = c/k2 = 1e-548 does too
+        kp = KineticParams(k1=1e77, k_m1=0, k2=1e265, k_m2=1e-283, a=1, volume=1)
+        d = stationary_distribution(kp)
+        assert d.support.tolist() == [0, 1] and d.probs.tolist() == [1.0, 0.0]
+        assert find_extrema(kp).integer_maxima == (0,)
 
     @pytest.mark.parametrize("tail_tol", [0.0, 1e-2, math.nan])
     def test_rejects_tail_tol_outside_its_range(self, tail_tol):
@@ -596,11 +604,11 @@ class TestTransientEvolve:
         # x = 3.54, and one degree less would not; the rule bounds that limit from
         # above, within 0.05%
         x_mp = mp.mpf(x)
-        tail = [mp.exp(-x_mp) * mp.nsum(lambda k: x_mp ** k / mp.factorial(k), [m + 1, mp.inf])
-                for m in range(birthdeath._DEGREE + 1)]
-        limit = mp.nsum(lambda k: mp.mpf(3.54) ** k / mp.factorial(k), [31, mp.inf])
         m = birthdeath._taylor_degree(x)
-        assert m <= 55
+        tail = [mp.exp(-x_mp) * mp.nsum(lambda k: x_mp ** k / mp.factorial(k), [j + 1, mp.inf])
+                for j in range(m + 1)]
+        limit = mp.nsum(lambda k: mp.mpf(3.54) ** k / mp.factorial(k), [31, mp.inf])
+        assert m <= 47
         assert tail[m] <= limit * (1 + 1e-3)
         assert m == 0 or tail[m - 1] > limit
 
@@ -647,6 +655,17 @@ class TestTransientEvolve:
         init = DiscreteDistribution.from_probs([0], [1.0])
         with pytest.raises(TruncationBreach):
             transient_evolve(IMMIGRATION_DEATH, init, [5.0], n_max=5)
+
+    def test_mass_leaked_past_n_max_is_a_step_failure(self):
+        # from n_max = 40 the first jump leaves the lattice with probability 1/401,
+        # and the chain seldom comes back (its law settles at mean 0.1), so ~2.5e-3
+        # of the mass leaks, far more than 1e-9, while P(n_max) decays to 0 long
+        # before t = 5
+        kp = KineticParams(k1=0, k_m1=0, k2=10, k_m2=1, a=1, volume=1)
+        init = DiscreteDistribution.from_probs([40], [1.0])
+        with pytest.raises(StepFailure) as exc:
+            transient_evolve(kp, init, [5.0], n_max=40)
+        assert str(exc.value) == "mass 2.500e-03 leaked past n_max=40 by t=5.0; enlarge the lattice"
 
     @pytest.mark.parametrize("n_max", [10.5, 40.0, math.nan, "40", None])
     def test_n_max_must_be_an_integer(self, n_max):
@@ -697,6 +716,7 @@ def kinetic_params(draw):
 @example(KineticParams(k1=0, k_m1=0, k2=1, k_m2=5e-324, a=1, volume=1))
 @example(KineticParams(k1=0, k_m1=1, k2=1e308, k_m2=0.1, a=1, volume=10))
 @example(KineticParams(k1=0, k_m1=0, k2=2, k_m2=5e-324, a=1, volume=1))   # lam = c/k2 underflows
+@example(KineticParams(k1=1e77, k_m1=0, k2=1e265, k_m2=1e-283, a=1, volume=1))   # so does r = c/(k1*A)
 def test_law_and_extrema_are_finite_or_a_typed_error(kp):
     try:
         d = stationary_distribution(kp)

@@ -6,9 +6,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from megstat import DiscreteDistribution, KineticParams, calibrate_coupling, transient_evolve
+from megstat import DiscreteDistribution, KineticParams, calibrate_coupling, core, transient_evolve
 from megstat.cli import _CSV_ROWS, build_parser, main
 
 
@@ -292,6 +293,26 @@ class TestStationary:
         assert rc == 1 and out == ""
         assert err.startswith("ERROR DOMAIN_ERROR: the rates overflow a double")
 
+    def test_negative_binomial_whose_shape_underflows_exits_zero_in_every_mode(self, capsys):
+        # r = c/(k1*A) underflows to 0: the law is the point mass at 0, on {0, 1}
+        flags = ["--k1A", "1e77", "--km1", "0", "--k2", "1e265", "--km2AV", "1e-283", "--V", "1"]
+        for argv in (["stationary", *flags], ["ssa", *flags, "--events", "10000"]):
+            rc, out, err = run(argv, capsys)
+            assert rc == 0 and err == ""
+            law = json.loads(out)
+            assert law["support"] == [0, 1] and law["probs"] == [1.0, 0.0]
+        rc, out, err = run(["extrema", *flags], capsys)
+        assert rc == 0 and err == ""
+        assert json.loads(out)["integer_maxima"] == [0]
+
+    def test_unnormalized_law_names_its_sum_as_a_plain_float(self, capsys, monkeypatch):
+        # a normalizer that leaves the sum at 1.125
+        monkeypatch.setattr(core, "normalize_log_weights",
+                            lambda logw: np.eye(1, len(logw))[0] * 1.125)
+        rc, out, err = run(["stationary", *POISSON3], capsys)
+        assert rc == 1 and out == ""
+        assert err == "ERROR DOMAIN_ERROR: probabilities sum to 1.125, not 1\n"
+
     def test_frozen_chain_is_one_point_mass_in_both_modes(self, capsys):
         flags = [*POISSON3[:-4], "--km2AV", "0", "--V", "1", "--format", "csv"]
         outs = [run([mode, *flags], capsys) for mode in ("stationary", "ssa")]
@@ -377,6 +398,13 @@ class TestEvolve:
             assert snap["support"] == list(range(41))
             assert sum(snap["probs"]) == pytest.approx(1.0, abs=1e-12)
             assert snap["probs"] == law.probs.tolist()
+
+    def test_mass_leaked_past_n_max_exits_one(self):
+        proc = run_process(["evolve", "--k1A", "0", "--km1", "0", "--k2", "10", "--km2AV", "1",
+                            "--V", "1", "--t-grid", "5", "--n-max", "40", "--n-init", "40"])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("ERROR STEP_FAILURE: mass 2.500e-03 leaked past n_max=40 by t=5.0; "
+                               "enlarge the lattice\n")
 
     @pytest.mark.parametrize("flags, code", [
         (["--n-max", "40", "--t-grid", "1e300"], "DOMAIN_ERROR"),

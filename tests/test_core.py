@@ -133,8 +133,10 @@ class TestNonFiniteInputs:
 
 class TestDiscreteDistribution:
     def test_rejects_unnormalized(self):
-        with pytest.raises(DomainError):
-            DiscreteDistribution(np.array([0, 1]), np.array([0.5, 0.6]))
+        with pytest.raises(DomainError) as exc:
+            DiscreteDistribution(np.array([0, 1]), np.array([0.5, 0.625]))
+        # the sum as a plain float, not numpy's np.float64(1.125)
+        assert str(exc.value) == "probabilities sum to 1.125, not 1"
 
     @pytest.mark.parametrize("support, probs", [([[0, 1]], [[0.5, 0.5]]),   # 2-d
                                                 ([0, 1], [1.0]),            # incongruent
